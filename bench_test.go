@@ -10,15 +10,9 @@ package routinglens
 
 import (
 	"context"
-	"fmt"
-	"os"
-	"path/filepath"
-	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"routinglens/internal/addrspace"
 	"routinglens/internal/anonymize"
@@ -30,7 +24,6 @@ import (
 	"routinglens/internal/netaddr"
 	"routinglens/internal/netgen"
 	"routinglens/internal/paperexample"
-	"routinglens/internal/parsecache"
 	"routinglens/internal/pathway"
 	"routinglens/internal/procgraph"
 	"routinglens/internal/reach"
@@ -112,91 +105,6 @@ func BenchmarkAnalyzeNet5(b *testing.B) {
 		if len(d.Instances.Instances) == 0 {
 			b.Fatal("no instances")
 		}
-	}
-}
-
-// jLevels are the worker-pool sizes the parallel benchmarks sweep:
-// sequential and all-cores (deduplicated on single-core machines).
-func jLevels() []int {
-	max := runtime.GOMAXPROCS(0)
-	if max == 1 {
-		return []int{1}
-	}
-	return []int{1, max}
-}
-
-// BenchmarkAnalyzeNet5Parallel measures the analysis pipeline on the
-// 881-router network with the independent stages fanned out: j1 is the
-// sequential baseline, jN uses all cores.
-func BenchmarkAnalyzeNet5Parallel(b *testing.B) {
-	na := workspace(b).ByName("net5")
-	for _, j := range jLevels() {
-		b.Run(fmt.Sprintf("j%d", j), func(b *testing.B) {
-			an := core.NewAnalyzer(core.WithParallelism(j))
-			for i := 0; i < b.N; i++ {
-				d := an.Analyze(context.Background(), na.Net)
-				if len(d.Instances.Instances) == 0 {
-					b.Fatal("no instances")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAnalyzeConfigsNet5Parallel measures the full parse+analyze
-// path on the 881 net5 configurations — the embarrassingly parallel
-// workload the paper's methodology implies — at each pool size.
-func BenchmarkAnalyzeConfigsNet5Parallel(b *testing.B) {
-	g := workspace(b).Corpus.ByName("net5")
-	for _, j := range jLevels() {
-		b.Run(fmt.Sprintf("j%d", j), func(b *testing.B) {
-			an := core.NewAnalyzer(core.WithParallelism(j))
-			for i := 0; i < b.N; i++ {
-				d, _, err := an.AnalyzeConfigs(context.Background(), g.Name, g.Configs)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(d.Instances.Instances) == 0 {
-					b.Fatal("no instances")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkCorpusParallel is the corpus-wide benchmark: generate the 31
-// networks and run the full extraction pipeline on each, over a worker
-// pool of j networks at a time. The j1/jN ratio is the PR's headline
-// speedup, recorded in BENCH_parallel.json by `make benchcmp`.
-func BenchmarkCorpusParallel(b *testing.B) {
-	for _, j := range jLevels() {
-		b.Run(fmt.Sprintf("j%d", j), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ws, err := experiments.BuildWorkspaceParallel(context.Background(), experiments.DefaultSeed, j)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(ws.Nets) != 31 {
-					b.Fatal("bad workspace")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkExperimentsParallel measures running all 18 experiments over
-// the prepared workspace at each pool size.
-func BenchmarkExperimentsParallel(b *testing.B) {
-	ws := workspace(b)
-	for _, j := range jLevels() {
-		b.Run(fmt.Sprintf("j%d", j), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rs := experiments.AllParallel(context.Background(), ws, j)
-				if len(rs) != 18 {
-					b.Fatal("missing results")
-				}
-			}
-		})
 	}
 }
 
@@ -342,81 +250,6 @@ func BenchmarkFullPipelineCorpus(b *testing.B) {
 			instance.Compute(procgraph.Build(n, top))
 		}
 	}
-}
-
-// BenchmarkAnalyzeDirNet5OneFileEdit measures the operator's steady
-// state: the 881-router net5 corpus on disk, exactly one file edited
-// between analyses. cold has no parse cache and re-parses all 881 files
-// every time; warm keeps the content-addressed cache across iterations
-// so only the edited file is re-parsed (the other 880 replay). The
-// cold/warm ratio is the PR's headline speedup, recorded in
-// BENCH_cache.json by `make cachebench`.
-func BenchmarkAnalyzeDirNet5OneFileEdit(b *testing.B) {
-	g := workspace(b).Corpus.ByName("net5")
-	hosts := make([]string, 0, len(g.Configs))
-	for host := range g.Configs {
-		hosts = append(hosts, host)
-	}
-	sort.Strings(hosts)
-	edited := hosts[len(hosts)/2]
-
-	writeCorpus := func(b *testing.B) string {
-		dir := b.TempDir()
-		for host, cfg := range g.Configs {
-			if err := os.WriteFile(filepath.Join(dir, host+".cfg"), []byte(cfg), 0o644); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return dir
-	}
-	// editOne rewrites the chosen file with iteration-unique content (an
-	// appended comment), so a warm analyzer always re-parses exactly one
-	// file — never zero.
-	editOne := func(b *testing.B, dir string, i int) {
-		cfg := g.Configs[edited] + fmt.Sprintf("\n! edit %d\n", i)
-		if err := os.WriteFile(filepath.Join(dir, edited+".cfg"), []byte(cfg), 0o644); err != nil {
-			b.Fatal(err)
-		}
-	}
-	analyze := func(b *testing.B, an *core.Analyzer, dir string) {
-		d, _, err := an.AnalyzeDir(context.Background(), dir)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(d.Instances.Instances) == 0 {
-			b.Fatal("no instances")
-		}
-	}
-
-	b.Run("cold", func(b *testing.B) {
-		dir := writeCorpus(b)
-		an := core.NewAnalyzer()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			editOne(b, dir, i)
-			b.StartTimer()
-			analyze(b, an, dir)
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		dir := writeCorpus(b)
-		an := core.NewAnalyzer(core.WithCache(parsecache.New(parsecache.DefaultMaxEntries, 0)))
-		analyze(b, an, dir) // prime the cache
-		// Let the corpus age past the stat-trust (racily-clean) margin,
-		// then re-prime so the unchanged files' stat records are trusted
-		// and the steady state being measured is the daemon's: stat 881
-		// files, read+parse one.
-		time.Sleep(300 * time.Millisecond)
-		analyze(b, an, dir)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			editOne(b, dir, i)
-			b.StartTimer()
-			analyze(b, an, dir)
-		}
-	})
 }
 
 // --- telemetry overhead micro-benchmarks ---

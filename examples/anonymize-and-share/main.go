@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -14,11 +15,13 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
+	an := routinglens.NewAnalyzer()
 	corpus := routinglens.GenerateCorpus(2004)
 	g := corpus.ByName("net8") // a mid-size enterprise
 
 	// Analyze the original.
-	before, _, err := routinglens.AnalyzeConfigs(g.Name, g.Configs)
+	before, _, err := an.AnalyzeConfigs(ctx, g.Name, g.Configs)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,7 +45,7 @@ func main() {
 	}
 
 	// Re-analyze the anonymized corpus: the routing design is isomorphic.
-	after, _, err := routinglens.AnalyzeConfigs(g.Name+"-anon", anonConfigs)
+	after, _, err := an.AnalyzeConfigs(ctx, g.Name+"-anon", anonConfigs)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,6 +17,8 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
+	an := routinglens.NewAnalyzer()
 	// Generate the corpus deterministically and pick the 881-router
 	// case-study network. In real use this would be AnalyzeDir on a
 	// directory of production configurations.
@@ -23,7 +26,7 @@ func main() {
 	g := corpus.ByName("net5")
 	fmt.Printf("analyzing %s: %d routers...\n\n", g.Name, g.Routers)
 
-	design, _, err := routinglens.AnalyzeConfigs(g.Name, g.Configs)
+	design, _, err := an.AnalyzeConfigs(ctx, g.Name, g.Configs)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -14,10 +15,12 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
+	an := routinglens.NewAnalyzer()
 	corpus := routinglens.GenerateCorpus(2004)
 	g := corpus.ByName("net12") // the 101-router enterprise
 
-	design, _, err := routinglens.AnalyzeConfigs(g.Name, g.Configs)
+	design, _, err := an.AnalyzeConfigs(ctx, g.Name, g.Configs)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,7 +55,7 @@ func main() {
 	delete(changed, "r101")
 	changed["r1"] = strings.Replace(changed["r1"], " redistribute ospf 2 subnets\n", "", 1)
 
-	after, _, err := routinglens.AnalyzeConfigs(g.Name, changed)
+	after, _, err := an.AnalyzeConfigs(ctx, g.Name, changed)
 	if err != nil {
 		log.Fatal(err)
 	}

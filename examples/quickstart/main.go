@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -63,7 +64,9 @@ router ospf 1
 }
 
 func main() {
-	design, diags, err := routinglens.AnalyzeConfigs("quickstart", configs)
+	ctx := context.Background()
+	an := routinglens.NewAnalyzer()
+	design, diags, err := an.AnalyzeConfigs(ctx, "quickstart", configs)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -28,9 +29,11 @@ func mustPrefix(s string) routinglens.Prefix {
 }
 
 func main() {
+	ctx := context.Background()
+	an := routinglens.NewAnalyzer()
 	corpus := routinglens.GenerateCorpus(2004)
 	g := corpus.ByName("net15")
-	design, _, err := routinglens.AnalyzeConfigs(g.Name, g.Configs)
+	design, _, err := an.AnalyzeConfigs(ctx, g.Name, g.Configs)
 	if err != nil {
 		log.Fatal(err)
 	}

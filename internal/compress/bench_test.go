@@ -13,8 +13,8 @@ import (
 )
 
 // BenchmarkQuotientBuild times Compute on a provider-tier network — the
-// once-per-generation cost rlensd -compress pays at swap time. Scale it
-// up against tools/compressbench numbers when chasing build regressions:
+// once-per-generation cost rlensd -compress pays at swap time, on the
+// 10k-router fabric (perfbench's compress.build.s row times it on net5):
 //
 //	go test -run '^$' -bench QuotientBuild -benchtime 5x ./internal/compress
 func BenchmarkQuotientBuild(b *testing.B) {
@@ -57,8 +57,7 @@ func BenchmarkQuotientReach(b *testing.B) {
 
 // BenchmarkFullReach is the uncompressed baseline for
 // BenchmarkQuotientReach: the same cold analysis over the full instance
-// graph. The ratio between the two is the speedup tools/compressbench
-// records as the compress:reach family.
+// graph. The ratio between the two is the quotient's cold-reach speedup.
 func BenchmarkFullReach(b *testing.B) {
 	g := netgen.GenerateProvider(2004, 10000)
 	design, _, err := core.NewAnalyzer().AnalyzeConfigs(context.Background(), g.Name, g.Configs)

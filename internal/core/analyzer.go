@@ -53,7 +53,9 @@ const (
 // Analyzer runs the extraction pipeline with a fixed configuration. It is
 // the single entry point behind the public routinglens API: build one
 // with NewAnalyzer, then call AnalyzeDir, AnalyzeConfigs, or Analyze any
-// number of times, from any number of goroutines.
+// number of times, from any number of goroutines. It holds no state
+// between calls: everything incremental lives in the attached parse
+// cache and snapshot directory, both addressed by file content.
 //
 // Regardless of parallelism the output is deterministic: devices appear
 // in sorted file-name order, diagnostics are sorted by (file, line,
@@ -68,15 +70,6 @@ type Analyzer struct {
 	cacheOrigin string // cross-origin accounting name on a shared cache
 	snapDir     string // analyzed-design snapshot directory, "" disables
 	faults      *faultinject.Injector
-
-	// statMu guards stats, the per-directory stat signatures AnalyzeDir
-	// uses to skip re-reading files that provably did not change between
-	// loads (see the racily-clean rule at statSlack), and memos, the
-	// per-directory last analysis keyed by snapshot content key. Inner
-	// maps are immutable once published: updates replace them wholesale.
-	statMu sync.Mutex
-	stats  map[string]map[string]statRecord // dir -> file name -> record
-	memos  map[string]snapMemo              // dir -> last analysis (snapshot mode only)
 }
 
 // AnalyzerOption configures an Analyzer.
@@ -141,13 +134,13 @@ func WithCacheOrigin(origin string) AnalyzerOption {
 // AnalyzeDir first computes the content key of the directory's file
 // signatures and tries to restore the analysis from the network's
 // `<name>.rlsnap` file; on a hit the design is rebuilt from the
-// snapshotted device tree in milliseconds, and the parse cache and stat
-// records are warmed so the next reload stays incremental. On a miss —
-// or on any corrupt, truncated, or version-skewed snapshot, which is
-// refused and counted in routinglens_snapshot_invalid_total — the full
-// analysis runs and its result refreshes the snapshot. Either way the
-// output is byte-identical to an un-snapshotted run: slower, never
-// wrong, the same policy as the stat fast path. Empty disables.
+// snapshotted device tree in milliseconds, and the parse cache is
+// warmed so the next reload stays incremental. On a miss — or on any
+// corrupt, truncated, or version-skewed snapshot, which is refused and
+// counted in routinglens_snapshot_invalid_total — the full analysis
+// runs and its result refreshes the snapshot. Either way the output is
+// byte-identical to an un-snapshotted run: slower, never wrong, the
+// same policy as the parse cache. Empty disables.
 func WithSnapshotDir(dir string) AnalyzerOption {
 	return func(a *Analyzer) { a.snapDir = dir }
 }
@@ -229,177 +222,81 @@ func (a *Analyzer) parseFile(name, text string) (*devmodel.Device, []Diagnostic,
 	return res.Device, fromCisco(res.Diagnostics), DialectIOS, nil
 }
 
-// statSlack is the racily-clean margin of the AnalyzeDir stat fast
-// path. A file whose (size, mtime) match the previous load is skipped
-// without re-reading it ONLY if its mtime was already at least this
-// much older than that load — exactly git's index rule. The margin
-// covers coarse filesystem timestamp granularity: a file modified
-// "around" the moment it was last read could keep its old (size,
-// mtime) signature despite new content, so recently-touched files are
-// always re-read and content-hashed. The content-hash parse cache
-// remains the correctness layer for everything read; the stat layer
-// only decides what must be read at all.
-const statSlack = 100 * time.Millisecond
-
-// statSig is the change signature AnalyzeDir records per on-disk file.
-type statSig struct {
-	size    int64
-	mtimeNS int64
-}
-
-// statRecord remembers how one file looked when its content was last
-// read and which parse-cache key that content resolved to. trusted
-// marks records old enough (statSlack) for a signature match to prove
-// the content unchanged.
-type statRecord struct {
-	sig     statSig
-	key     parsecache.Key
-	trusted bool
-}
-
 // AnalyzeDir parses every regular file in dir as a router configuration
-// and extracts the network's routing design. The returned diagnostics
-// are warnings about individual malformed lines; they do not prevent
-// analysis.
+// and extracts the network's routing design, naming the network after
+// the directory's base name. The returned diagnostics are warnings about
+// individual malformed lines; they do not prevent analysis.
 //
-// With a parse cache attached, re-analysis of the same directory is
-// incremental twice over: files whose stat signature proves them
-// unchanged (see statSlack) are not even re-read from disk, and files
-// that are re-read but hash to known content are not re-parsed. With a
-// snapshot directory attached (WithSnapshotDir), an unchanged signature
-// set skips the analysis entirely and restores the design from the
-// snapshot (or the in-memory copy of the last identical load).
+// Every file is read and content-hashed on every call. With a parse
+// cache attached, a file whose content hash is already cached is not
+// re-parsed, so re-analysis after a one-file edit parses one file. With
+// a snapshot directory attached (WithSnapshotDir), a content-hash set
+// that matches the network's snapshot skips the parse entirely and
+// restores the design from the snapshot.
 func (a *Analyzer) AnalyzeDir(ctx context.Context, dir string) (*Design, []Diagnostic, error) {
-	design, diags, _, _, err := a.analyzeDir(ctx, dir)
+	design, diags, _, _, err := a.analyzeDir(ctx, filepath.Base(filepath.Clean(dir)), dir)
 	return design, diags, err
 }
 
-// keyed reports whether per-file content keys are worth computing: the
-// parse cache memoizes on them, and the snapshot content key is built
-// from them. Either consumer also activates the stat fast path, whose
-// records exist to hand back those keys without re-reading files.
-func (a *Analyzer) keyed() bool { return a.cache != nil || a.snapDir != "" }
-
-// analyzeDir is AnalyzeDir plus the snapshot bookkeeping: it returns
-// the content key of the signature set it saw (empty without a snapshot
-// directory) and whether the design was restored rather than analyzed.
-//
-// The signature set is computed from exactly the same evidence the stat
-// fast path trusts: a stat-trusted file contributes the parse-cache key
-// recorded when its content was last read, every other file is re-read
-// and content-hashed. A file edited within the racily-clean slack is
-// therefore re-hashed here too, so the snapshot key changes whenever
-// the fast path would re-parse — a warm snapshot can never mask an
-// in-slack edit.
-func (a *Analyzer) analyzeDir(ctx context.Context, dir string) (*Design, []Diagnostic, string, bool, error) {
+// analyzeDir analyzes dir as network name, plus the snapshot
+// bookkeeping: it returns the content key of the directory's file
+// signatures (empty without a snapshot directory) and whether the design
+// was restored rather than analyzed. Each file's parse-cache key is
+// computed once, here, and serves both the snapshot key and the parse
+// cache lookup.
+func (a *Analyzer) analyzeDir(ctx context.Context, name, dir string) (*Design, []Diagnostic, string, bool, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, nil, "", false, err
 	}
-	dir = filepath.Clean(dir)
-	loadStart := time.Now()
-	prev := a.statRecords(dir)
 	inputs := make([]fileInput, 0, len(entries))
-	sigs := make(map[string]statSig, len(entries))
-	var fsigs []snapshot.FileSig
 	for _, e := range entries {
 		if !e.Type().IsRegular() {
 			continue
 		}
-		path := filepath.Join(dir, e.Name())
-		if a.keyed() {
-			if fi, err := e.Info(); err == nil {
-				sig := statSig{size: fi.Size(), mtimeNS: fi.ModTime().UnixNano()}
-				sigs[e.Name()] = sig
-				if rec, ok := prev[e.Name()]; ok && rec.trusted && rec.sig == sig {
-					key := rec.key
-					inputs = append(inputs, fileInput{name: e.Name(), path: path, pre: &key})
-					if a.snapDir != "" {
-						fsigs = append(fsigs, snapshot.FileSig{Dialect: key.Dialect, Name: key.Name, Sum: key.Sum, Size: sig.size})
-					}
-					continue
-				}
-			}
-		}
-		data, err := os.ReadFile(path)
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
 			return nil, nil, "", false, err
 		}
-		text := string(data)
-		if a.snapDir != "" {
-			k := parsecache.KeyFor(a.resolveDialect(text), e.Name(), text)
-			fsigs = append(fsigs, snapshot.FileSig{Dialect: k.Dialect, Name: k.Name, Sum: k.Sum, Size: int64(len(text))})
-		}
-		inputs = append(inputs, fileInput{name: e.Name(), path: path, text: text})
+		inputs = append(inputs, a.newInput(e.Name(), string(data)))
+	}
+	if a.snapDir == "" {
+		design, diags, err := a.analyzeInputs(ctx, name, inputs)
+		return design, diags, "", false, err
 	}
 
-	netName := filepath.Base(dir)
-	var snapKey string
-	if a.snapDir != "" {
-		snapKey = snapshot.Key(AnalysisVersion, fsigs)
-		if design, diags, ok := a.memoGet(ctx, dir, netName, snapKey); ok {
-			a.statSeedFromFiles(dir, loadStart, sigs, fsigs, skippedSet(diags))
-			return design, diags, snapKey, true, nil
-		}
-		if design, diags, ok := a.snapshotLoad(ctx, netName, snapKey, dir, loadStart, sigs); ok {
-			a.memoPut(dir, snapKey, design, diags)
-			return design, diags, snapKey, true, nil
-		}
+	fsigs := make([]snapshot.FileSig, len(inputs))
+	for i, in := range inputs {
+		fsigs[i] = snapshot.FileSig{Dialect: in.key.Dialect, Name: in.key.Name, Sum: in.key.Sum, Size: int64(len(in.text))}
 	}
-
-	design, diags, results, err := a.analyzeInputs(ctx, netName, inputs)
-	if a.keyed() && err == nil {
-		a.statUpdate(dir, loadStart, sigs, inputs, results)
+	snapKey := snapshot.Key(AnalysisVersion, fsigs)
+	if design, diags, ok := a.snapshotLoad(ctx, name, snapKey); ok {
+		return design, diags, snapKey, true, nil
 	}
-	if a.snapDir != "" && err == nil {
-		a.snapshotStore(ctx, netName, snapKey, design, diags, fsigs)
-		a.memoPut(dir, snapKey, design, diags)
+	design, diags, err := a.analyzeInputs(ctx, name, inputs)
+	if err == nil {
+		a.snapshotStore(ctx, name, snapKey, design, diags, fsigs)
 	}
 	return design, diags, snapKey, false, err
 }
 
-// statRecords returns the previous load's records for dir (nil if none).
-func (a *Analyzer) statRecords(dir string) map[string]statRecord {
-	a.statMu.Lock()
-	defer a.statMu.Unlock()
-	return a.stats[dir]
-}
-
-// statUpdate publishes this load's records for dir: one per successfully
-// parsed file, trusted only when the file's mtime predates the load by
-// the racily-clean margin.
-func (a *Analyzer) statUpdate(dir string, loadStart time.Time, sigs map[string]statSig, inputs []fileInput, results []parsed) {
-	cutoff := loadStart.Add(-statSlack).UnixNano()
-	recs := make(map[string]statRecord, len(inputs))
-	for i, in := range inputs {
-		r := results[i]
-		if r.err != nil || r.dev == nil || !r.hasKey {
-			continue
-		}
-		sig, ok := sigs[in.name]
-		if !ok {
-			continue
-		}
-		recs[in.name] = statRecord{sig: sig, key: r.key, trusted: sig.mtimeNS < cutoff}
-	}
-	a.statMu.Lock()
-	if a.stats == nil {
-		a.stats = make(map[string]map[string]statRecord)
-	}
-	a.stats[dir] = recs
-	a.statMu.Unlock()
-}
-
-// fileInput is one configuration handed to the parse stage. Exactly one
-// of text or pre is meaningful: an in-memory configuration carries its
-// text; a stat-trusted on-disk file carries only the parse-cache key its
-// unchanged content resolved to last load, plus the path to fall back to
-// reading should that entry have been evicted.
+// fileInput is one configuration handed to the parse stage: its name,
+// its text, and its parse-cache key (zero when nothing consumes keys).
 type fileInput struct {
 	name string
-	path string // on-disk location, "" for in-memory configurations
 	text string
-	pre  *parsecache.Key // stat-trusted key; nil means text is authoritative
+	key  parsecache.Key
+}
+
+// newInput builds one parse-stage input, computing its parse-cache key
+// once when a parse cache memoizes on it or a snapshot key is built
+// from it.
+func (a *Analyzer) newInput(name, text string) fileInput {
+	in := fileInput{name: name, text: text}
+	if a.cache != nil || a.snapDir != "" {
+		in.key = parsecache.KeyFor(a.resolveDialect(text), name, text)
+	}
+	return in
 }
 
 // parsed is the outcome of one file parse, merged in input order after
@@ -411,12 +308,6 @@ type parsed struct {
 	dur     time.Duration
 	err     error
 	cached  bool // served from the parse cache instead of a fresh parse
-
-	// key is the parse-cache key the result lives under (hasKey guards
-	// it); AnalyzeDir pairs it with the file's stat signature so the next
-	// load can skip reading the file entirely.
-	key    parsecache.Key
-	hasKey bool
 }
 
 // cacheEntry is what one successful parse stores in the parse cache.
@@ -441,20 +332,17 @@ type cacheEntry struct {
 func (a *Analyzer) AnalyzeConfigs(ctx context.Context, name string, configs map[string]string) (*Design, []Diagnostic, error) {
 	inputs := make([]fileInput, 0, len(configs))
 	for fn, text := range configs {
-		inputs = append(inputs, fileInput{name: fn, text: text})
+		inputs = append(inputs, a.newInput(fn, text))
 	}
-	design, diags, _, err := a.analyzeInputs(ctx, name, inputs)
-	return design, diags, err
+	return a.analyzeInputs(ctx, name, inputs)
 }
 
 // analyzeInputs is the shared parse+analyze engine under AnalyzeDir and
 // AnalyzeConfigs. It sorts inputs by name in place, fans the parses out
-// over the worker pool, merges deterministically, and — on success —
-// returns the per-input parse results aligned with the (sorted) inputs
-// so AnalyzeDir can record stat signatures.
-func (a *Analyzer) analyzeInputs(ctx context.Context, name string, inputs []fileInput) (*Design, []Diagnostic, []parsed, error) {
+// over the worker pool, and merges deterministically.
+func (a *Analyzer) analyzeInputs(ctx context.Context, name string, inputs []fileInput) (*Design, []Diagnostic, error) {
 	if err := a.checkDialect(); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	sort.Slice(inputs, func(i, j int) bool { return inputs[i].name < inputs[j].name })
 
@@ -474,7 +362,7 @@ func (a *Analyzer) analyzeInputs(ctx context.Context, name string, inputs []file
 			if err := ctx.Err(); err != nil {
 				parseSpan.Fail(err)
 				parseSpan.End()
-				return nil, partialDiags(results), nil, err
+				return nil, partialDiags(results), err
 			}
 			results[i] = a.parseInput(pctx, inputs[i])
 			if results[i].err != nil && a.failFast {
@@ -513,7 +401,7 @@ func (a *Analyzer) analyzeInputs(ctx context.Context, name string, inputs []file
 	if err := ctx.Err(); err != nil {
 		parseSpan.Fail(err)
 		parseSpan.End()
-		return nil, partialDiags(results), nil, err
+		return nil, partialDiags(results), err
 	}
 
 	// Merge in input order so worker scheduling never shows in the output.
@@ -544,7 +432,7 @@ func (a *Analyzer) analyzeInputs(ctx context.Context, name string, inputs []file
 				parseSpan.Fail(err)
 				parseSpan.End()
 				sortDiagnostics(diags)
-				return nil, diags, nil, err
+				return nil, diags, err
 			}
 			// Lenient (the default): the file is dropped from the network,
 			// the failure becomes a severity-error diagnostic, and analysis
@@ -585,7 +473,7 @@ func (a *Analyzer) analyzeInputs(ctx context.Context, name string, inputs []file
 		"files", len(inputs), "lines", totalLines, "workers", workers,
 		"cache_hits", cacheHits, "reparsed", reparsed,
 		"diagnostics", len(diags), "duration", parseDur.Round(time.Microsecond))
-	return a.Analyze(ctx, n), diags, results, nil
+	return a.Analyze(ctx, n), diags, nil
 }
 
 // partialDiags salvages the diagnostics of whatever files finished
@@ -602,47 +490,23 @@ func partialDiags(results []parsed) []Diagnostic {
 	return diags
 }
 
-// parseInput parses one file under a "parse-file" span, consulting the
-// parse cache when one is attached. A stat-trusted input tries its
-// recorded key first; if the entry was evicted (or the cache faulted)
-// the file is read back from disk and takes the ordinary content-hash
-// path — slower, never wrong.
+// parseInput parses one file under a "parse-file" span, replaying the
+// parse cache's entry for the file's content key when one is attached.
 func (a *Analyzer) parseInput(ctx context.Context, in fileInput) parsed {
 	_, fileSpan := telemetry.StartSpan(ctx, "parse-file")
-	if in.pre != nil {
-		if p, ok := a.cacheLoad(ctx, *in.pre); ok {
-			p.key, p.hasKey = *in.pre, true
+	if a.cache != nil {
+		if p, ok := a.cacheLoad(ctx, in.key); ok {
 			p.dur = fileSpan.End()
 			return p
-		}
-		data, err := os.ReadFile(in.path)
-		if err != nil {
-			fileSpan.Fail(err)
-			return parsed{err: err, dur: fileSpan.End()}
-		}
-		in.text = string(data)
-	}
-	var key parsecache.Key
-	var hasKey bool
-	if a.keyed() {
-		key = parsecache.KeyFor(a.resolveDialect(in.text), in.name, in.text)
-		hasKey = true
-		if a.cache != nil {
-			if p, ok := a.cacheLoad(ctx, key); ok {
-				p.key, p.hasKey = key, true
-				p.dur = fileSpan.End()
-				return p
-			}
 		}
 	}
 	dev, ds, dialect, err := a.parseFile(in.name, in.text)
 	if err != nil {
 		fileSpan.Fail(err)
 	} else if a.cache != nil {
-		a.cacheStore(ctx, key, &cacheEntry{dev: dev, diags: ds, dialect: dialect}, int64(len(in.text)))
+		a.cacheStore(ctx, in.key, &cacheEntry{dev: dev, diags: ds, dialect: dialect}, int64(len(in.text)))
 	}
-	dur := fileSpan.End()
-	return parsed{dev: dev, diags: ds, dialect: dialect, dur: dur, err: err, key: key, hasKey: hasKey}
+	return parsed{dev: dev, diags: ds, dialect: dialect, dur: fileSpan.End(), err: err}
 }
 
 // cacheLoad looks one file up in the parse cache. It can only improve

@@ -26,20 +26,6 @@ func writeConfigDir(t *testing.T, configs map[string]string) string {
 	return dir
 }
 
-// markStatTrusted flips every stat record the analyzer holds for dir to
-// trusted, standing in for the statSlack aging a real deployment gets
-// between reloads. Tests use it instead of sleeping past the
-// racily-clean margin.
-func markStatTrusted(a *Analyzer, dir string) {
-	dir = filepath.Clean(dir)
-	a.statMu.Lock()
-	defer a.statMu.Unlock()
-	for name, rec := range a.stats[dir] {
-		rec.trusted = true
-		a.stats[dir][name] = rec
-	}
-}
-
 // gauge reads a gauge's current value from a registry.
 func gauge(reg *telemetry.Registry, name string) float64 {
 	return reg.Gauge(name).Value()
@@ -78,6 +64,33 @@ func TestCacheDeterminism(t *testing.T) {
 	}
 }
 
+// loadAndCompare runs one AnalyzeDir under a fresh registry, checks the
+// number of files parsed fresh, and compares the result with an
+// uncached analyzer's. It returns the registry for further checks.
+func loadAndCompare(t *testing.T, an *Analyzer, dir, step string, wantReparsed int) *telemetry.Registry {
+	t.Helper()
+	reg := telemetry.NewRegistry()
+	d, diags, err := an.AnalyzeDir(telemetry.WithRegistry(context.Background(), reg), dir)
+	if err != nil {
+		t.Fatalf("%s: %v", step, err)
+	}
+	if got := gauge(reg, MetricFilesReparsed); got != float64(wantReparsed) {
+		t.Errorf("%s: reparsed %v files, want %d", step, got, wantReparsed)
+	}
+	fresh, freshDiags, err := NewAnalyzer().AnalyzeDir(context.Background(), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Summary() != fresh.Summary() {
+		t.Errorf("%s: Summary() differs from from-scratch analysis:\n--- incremental\n%s\n--- fresh\n%s",
+			step, d.Summary(), fresh.Summary())
+	}
+	if !reflect.DeepEqual(diags, freshDiags) {
+		t.Errorf("%s: diagnostics differ from from-scratch analysis:\n%v\nvs\n%v", step, diags, freshDiags)
+	}
+	return reg
+}
+
 // TestCacheIncrementalAnalyzeDir is the incremental-reload contract: a
 // one-file edit between two AnalyzeDir calls re-parses exactly one file
 // (routinglens_reload_files_reparsed = 1), replays the rest from the
@@ -87,112 +100,39 @@ func TestCacheIncrementalAnalyzeDir(t *testing.T) {
 	dir := writeConfigDir(t, configs)
 	an := NewAnalyzer(WithCache(parsecache.New(0, 0)))
 
-	reg := telemetry.NewRegistry()
-	ctx := telemetry.WithRegistry(context.Background(), reg)
-	if _, _, err := an.AnalyzeDir(ctx, dir); err != nil {
-		t.Fatal(err)
-	}
-	if got := gauge(reg, MetricFilesReparsed); got != float64(len(configs)) {
-		t.Errorf("cold load reparsed %v files, want %d", got, len(configs))
-	}
+	loadAndCompare(t, an, dir, "cold load", len(configs))
 
-	// Edit one file. The rewrite's fresh mtime also means the stat fast
-	// path cannot trust it, so the change is seen no matter how quickly
-	// the reload follows the edit.
-	edited := filepath.Join(dir, "jmix.cfg")
-	if err := os.WriteFile(edited, []byte(junosTestConfig+"\n/* touched */\n"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "jmix.cfg"), []byte(junosTestConfig+"\n/* touched */\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	reg = telemetry.NewRegistry()
-	ctx = telemetry.WithRegistry(context.Background(), reg)
-	d, diags, err := an.AnalyzeDir(ctx, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := gauge(reg, MetricFilesReparsed); got != 1 {
-		t.Errorf("warm load reparsed %v files, want 1", got)
-	}
+	reg := loadAndCompare(t, an, dir, "one-file edit", 1)
 	if hits := reg.Counter(MetricCacheHits).Value(); hits != int64(len(configs)-1) {
-		t.Errorf("warm load hit cache %d times, want %d", hits, len(configs)-1)
-	}
-
-	fresh, freshDiags, err := NewAnalyzer().AnalyzeDir(context.Background(), dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Summary() != fresh.Summary() {
-		t.Errorf("incremental Summary() differs from from-scratch analysis:\n--- incremental\n%s\n--- fresh\n%s",
-			d.Summary(), fresh.Summary())
-	}
-	if !reflect.DeepEqual(diags, freshDiags) {
-		t.Errorf("incremental diagnostics differ from from-scratch analysis:\n%v\nvs\n%v", diags, freshDiags)
+		t.Errorf("one-file edit hit cache %d times, want %d", hits, len(configs)-1)
 	}
 }
 
-// TestCacheStatFastPath drives the racily-clean stat layer end to end:
-// trusted unchanged files skip the disk entirely, an edited file's new
-// signature forces a re-read, and a purged cache entry falls back to
-// the ordinary read-and-hash path — slower, never wrong.
+// TestCacheStatFastPath checks the three reloads a stat layer in front
+// of the content hash would serve, now that every AnalyzeDir reads and
+// hashes every file and the hash alone decides what is parsed: an
+// unchanged reload re-parses nothing, an edit re-parses only the edited
+// file, and a purged cache re-parses everything — slower, never wrong.
+// Each reload produces the design a from-scratch analyzer sees.
 func TestCacheStatFastPath(t *testing.T) {
 	configs := mixedConfigs(t)
 	dir := writeConfigDir(t, configs)
 	cache := parsecache.New(0, 0)
 	an := NewAnalyzer(WithCache(cache))
 
-	base, baseDiags, err := an.AnalyzeDir(context.Background(), dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loadAndCompare(t, an, dir, "cold load", len(configs))
+	loadAndCompare(t, an, dir, "unchanged reload", 0)
 
-	// Trusted records + unchanged stat signatures: nothing is read, every
-	// file replays from the key recorded last load.
-	markStatTrusted(an, dir)
-	reg := telemetry.NewRegistry()
-	d, diags, err := an.AnalyzeDir(telemetry.WithRegistry(context.Background(), reg), dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := gauge(reg, MetricFilesReparsed); got != 0 {
-		t.Errorf("stat-trusted load reparsed %v files, want 0", got)
-	}
-	if d.Summary() != base.Summary() || !reflect.DeepEqual(diags, baseDiags) {
-		t.Error("stat-trusted load produced a different design")
-	}
-
-	// An edit changes the stat signature, so trust in the old record is
-	// void and the file is re-read and re-parsed.
 	if err := os.WriteFile(filepath.Join(dir, "jmix.cfg"), []byte(junosTestConfig+"\n/* edit */\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	markStatTrusted(an, dir)
-	reg = telemetry.NewRegistry()
-	if _, _, err := an.AnalyzeDir(telemetry.WithRegistry(context.Background(), reg), dir); err != nil {
-		t.Fatal(err)
-	}
-	if got := gauge(reg, MetricFilesReparsed); got != 1 {
-		t.Errorf("post-edit load reparsed %v files, want 1", got)
-	}
+	loadAndCompare(t, an, dir, "post-edit load", 1)
 
-	// Eviction of a trusted file's entry must not lose the file: the
-	// stat layer's key misses, the file is read back from disk, and the
-	// content-hash path re-parses it.
 	cache.Purge()
-	markStatTrusted(an, dir)
-	reg = telemetry.NewRegistry()
-	d, diags, err = an.AnalyzeDir(telemetry.WithRegistry(context.Background(), reg), dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := gauge(reg, MetricFilesReparsed); got != float64(len(configs)) {
-		t.Errorf("post-purge load reparsed %v files, want %d", got, len(configs))
-	}
-	fresh, freshDiags, err := NewAnalyzer().AnalyzeDir(context.Background(), dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Summary() != fresh.Summary() || !reflect.DeepEqual(diags, freshDiags) {
-		t.Error("post-purge fallback produced a different design")
-	}
+	loadAndCompare(t, an, dir, "post-purge load", len(configs))
 }
 
 // TestCacheDialectSeparatesKeys guards the key's dialect component: the

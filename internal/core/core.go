@@ -115,42 +115,6 @@ func AnalyzeContext(ctx context.Context, n *devmodel.Network) *Design {
 	return NewAnalyzer().Analyze(ctx, n)
 }
 
-// AnalyzeDir parses every file in dir as a router configuration —
-// detecting Cisco IOS and JunOS dialects per file — and analyzes the
-// resulting network. Parse diagnostics are returned alongside the design;
-// they are warnings, not errors.
-//
-// Deprecated: use NewAnalyzer().AnalyzeDir, which adds parallelism,
-// logger, and dialect control.
-func AnalyzeDir(dir string) (*Design, []Diagnostic, error) {
-	return AnalyzeDirContext(context.Background(), dir)
-}
-
-// AnalyzeDirContext is AnalyzeDir with the caller's telemetry context.
-//
-// Deprecated: use NewAnalyzer().AnalyzeDir.
-func AnalyzeDirContext(ctx context.Context, dir string) (*Design, []Diagnostic, error) {
-	return NewAnalyzer().AnalyzeDir(ctx, dir)
-}
-
-// AnalyzeConfigs parses an in-memory set of configurations (hostname or
-// filename -> text), auto-detecting the dialect of each, and analyzes the
-// network.
-//
-// Deprecated: use NewAnalyzer().AnalyzeConfigs, which adds parallelism,
-// logger, and dialect control.
-func AnalyzeConfigs(name string, configs map[string]string) (*Design, []Diagnostic, error) {
-	return AnalyzeConfigsContext(context.Background(), name, configs)
-}
-
-// AnalyzeConfigsContext is AnalyzeConfigs with the caller's telemetry
-// context.
-//
-// Deprecated: use NewAnalyzer().AnalyzeConfigs.
-func AnalyzeConfigsContext(ctx context.Context, name string, configs map[string]string) (*Design, []Diagnostic, error) {
-	return NewAnalyzer().AnalyzeConfigs(ctx, name, configs)
-}
-
 // Pathway computes the route pathway graph for the named router.
 func (d *Design) Pathway(hostname string) (*pathway.Graph, error) {
 	return pathway.Compute(d.Instances, hostname)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,7 +17,7 @@ import (
 )
 
 func TestAnalyzeConfigsPaperExample(t *testing.T) {
-	d, diags, err := AnalyzeConfigs("example", paperexample.Configs())
+	d, diags, err := NewAnalyzer().AnalyzeConfigs(context.Background(), "example", paperexample.Configs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestAnalyzeDirRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	d, diags, err := AnalyzeDir(dir)
+	d, diags, err := NewAnalyzer().AnalyzeDir(context.Background(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,13 +55,13 @@ func TestAnalyzeDirRoundTrip(t *testing.T) {
 }
 
 func TestAnalyzeDirMissing(t *testing.T) {
-	if _, _, err := AnalyzeDir("/nonexistent/path"); err == nil {
+	if _, _, err := NewAnalyzer().AnalyzeDir(context.Background(), "/nonexistent/path"); err == nil {
 		t.Error("expected error for missing directory")
 	}
 }
 
 func TestDesignPathway(t *testing.T) {
-	d, _, err := AnalyzeConfigs("example", paperexample.Configs())
+	d, _, err := NewAnalyzer().AnalyzeConfigs(context.Background(), "example", paperexample.Configs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestDesignPathway(t *testing.T) {
 
 func TestDesignReachability(t *testing.T) {
 	g := netgen.GenerateCorpus(3).ByName("net15")
-	d, _, err := AnalyzeConfigs("net15", g.Configs)
+	d, _, err := NewAnalyzer().AnalyzeConfigs(context.Background(), "net15", g.Configs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestDesignReachability(t *testing.T) {
 }
 
 func TestSummaryRendering(t *testing.T) {
-	d, _, err := AnalyzeConfigs("example", paperexample.Configs())
+	d, _, err := NewAnalyzer().AnalyzeConfigs(context.Background(), "example", paperexample.Configs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestSummaryRendering(t *testing.T) {
 
 func TestClassificationExposed(t *testing.T) {
 	g := netgen.GenerateCorpus(3).ByName("net1")
-	d, _, err := AnalyzeConfigs("net1", g.Configs)
+	d, _, err := NewAnalyzer().AnalyzeConfigs(context.Background(), "net1", g.Configs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestClassificationExposed(t *testing.T) {
 }
 
 func TestInstanceBlocks(t *testing.T) {
-	d, _, err := AnalyzeConfigs("example", paperexample.Configs())
+	d, _, err := NewAnalyzer().AnalyzeConfigs(context.Background(), "example", paperexample.Configs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestInstanceBlocks(t *testing.T) {
 }
 
 func TestDesignTrace(t *testing.T) {
-	d, _, err := AnalyzeConfigs("example", paperexample.Configs())
+	d, _, err := NewAnalyzer().AnalyzeConfigs(context.Background(), "example", paperexample.Configs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ router ospf 1
  network 10.0.0.0 0.0.0.3 area 0
 `,
 	}
-	d, diags, err := AnalyzeConfigs("mixed", configs)
+	d, diags, err := NewAnalyzer().AnalyzeConfigs(context.Background(), "mixed", configs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ router ospf 1
 }
 
 func TestDesignSurvivability(t *testing.T) {
-	d, _, err := AnalyzeConfigs("example", paperexample.Configs())
+	d, _, err := NewAnalyzer().AnalyzeConfigs(context.Background(), "example", paperexample.Configs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func TestDesignSurvivability(t *testing.T) {
 }
 
 func TestDesignAudit(t *testing.T) {
-	d, _, err := AnalyzeConfigs("example", paperexample.Configs())
+	d, _, err := NewAnalyzer().AnalyzeConfigs(context.Background(), "example", paperexample.Configs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,13 +215,13 @@ func TestDesignAudit(t *testing.T) {
 }
 
 func TestDesignDiff(t *testing.T) {
-	before, _, err := AnalyzeConfigs("example", paperexample.Configs())
+	before, _, err := NewAnalyzer().AnalyzeConfigs(context.Background(), "example", paperexample.Configs())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfgs := paperexample.Configs()
 	delete(cfgs, "r3")
-	after, _, err := AnalyzeConfigs("example", cfgs)
+	after, _, err := NewAnalyzer().AnalyzeConfigs(context.Background(), "example", cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +242,7 @@ func TestSuspectedMissingRouters(t *testing.T) {
 	// the middle of an overwhelmingly internal block — the paper's
 	// missing-router signature.
 	cfgs := netgen.GenerateCorpus(3).ByName("net6").Configs
-	before, _, err := AnalyzeConfigs("net6", cfgs)
+	before, _, err := NewAnalyzer().AnalyzeConfigs(context.Background(), "net6", cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +250,7 @@ func TestSuspectedMissingRouters(t *testing.T) {
 		t.Fatalf("complete corpus should have no suspects, got %d", n)
 	}
 	delete(cfgs, "r10")
-	d, _, err := AnalyzeConfigs("net6", cfgs)
+	d, _, err := NewAnalyzer().AnalyzeConfigs(context.Background(), "net6", cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ var malformedDir = filepath.Join("..", "..", "testdata", "malformed")
 var malformedSkips = []string{"aa-bad-brace.cfg", "bad-brace.cfg", "zz-bad-brace.cfg"}
 
 func TestAnalyzeDirMalformedCorpus(t *testing.T) {
-	d, diags, err := AnalyzeDir(malformedDir)
+	d, diags, err := NewAnalyzer().AnalyzeDir(context.Background(), malformedDir)
 	if err != nil {
 		t.Fatalf("lenient AnalyzeDir: %v", err)
 	}
@@ -101,7 +101,7 @@ func TestSkippedFilesDeterministicAcrossParallelism(t *testing.T) {
 			reg := telemetry.NewRegistry()
 			ctx := telemetry.WithRegistry(context.Background(), reg)
 			an := NewAnalyzer(WithParallelism(j))
-			res, err := an.AnalyzeDirResult(ctx, malformedDir)
+			res, err := an.AnalyzeDirResult(ctx, "malformed", malformedDir)
 			if err != nil {
 				t.Fatalf("AnalyzeDirResult(j=%d): %v", j, err)
 			}

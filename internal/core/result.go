@@ -20,20 +20,24 @@ type Result struct {
 	Elapsed time.Duration
 	// SnapshotKey is the content address of the input signature set —
 	// non-empty only for AnalyzeDirResult on an analyzer with a snapshot
-	// directory. Two results of the same directory with equal keys are
+	// directory. Two results of the same network with equal keys are
 	// analyses of byte-identical content, which is what lets a server
 	// keep its warm generation on a no-change reload.
 	SnapshotKey string
-	// FromSnapshot reports whether the design was restored from a
-	// snapshot (or the in-memory copy of the last identical load)
-	// rather than parsed from configuration text.
+	// FromSnapshot reports whether the design was restored from the
+	// network's snapshot file rather than parsed from configuration
+	// text.
 	FromSnapshot bool
 }
 
-// AnalyzeDirResult is AnalyzeDir packaged as a single swappable Result.
-func (a *Analyzer) AnalyzeDirResult(ctx context.Context, dir string) (*Result, error) {
+// AnalyzeDirResult is AnalyzeDir packaged as a single swappable Result,
+// with the network named name rather than after dir: a server analyzing
+// one network from successive directories (a push's staging directory,
+// then its promoted generation) keeps one design name and one snapshot
+// file.
+func (a *Analyzer) AnalyzeDirResult(ctx context.Context, name, dir string) (*Result, error) {
 	start := time.Now()
-	d, diags, snapKey, fromSnap, err := a.analyzeDir(ctx, dir)
+	d, diags, snapKey, fromSnap, err := a.analyzeDir(ctx, name, dir)
 	if err != nil {
 		return nil, err
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"routinglens/internal/devmodel"
 	"routinglens/internal/parsecache"
@@ -29,49 +28,13 @@ const (
 	SiteSnapshotStore = "snapshot.store"
 )
 
-// snapMemo remembers the last analysis AnalyzeDir returned for one
-// directory, addressed by its snapshot content key. A reload whose
-// signature set is unchanged returns this copy without touching the
-// snapshot file — the design is immutable and already resident, so
-// decoding it again would only produce an identical twin. Correctness
-// rests on the content address alone: equal key means equal input
-// bytes means equal analysis.
-type snapMemo struct {
-	key    string
-	design *Design
-	diags  []Diagnostic
-}
-
-func (a *Analyzer) memoGet(ctx context.Context, dir, netName, key string) (*Design, []Diagnostic, bool) {
-	a.statMu.Lock()
-	m, ok := a.memos[dir]
-	a.statMu.Unlock()
-	if !ok || m.key != key {
-		return nil, nil, false
-	}
-	reg := telemetry.RegistryFrom(ctx)
-	registerHelp(reg)
-	reg.Counter(MetricSnapshotLoads, telemetry.L("net", netName)).Inc()
-	a.log().With("network", netName).Info("signature set unchanged; reusing in-memory analysis", "key", key)
-	return m.design, m.diags, true
-}
-
-func (a *Analyzer) memoPut(dir, key string, design *Design, diags []Diagnostic) {
-	a.statMu.Lock()
-	if a.memos == nil {
-		a.memos = make(map[string]snapMemo)
-	}
-	a.memos[dir] = snapMemo{key: key, design: design, diags: diags}
-	a.statMu.Unlock()
-}
-
-// snapshotLoad tries to restore dir's analysis from the snapshot file.
-// Absent or stale-key snapshots are misses; corrupt, truncated, or
-// version-skewed ones are counted invalid and refused. A restored
+// snapshotLoad tries to restore netName's analysis from its snapshot
+// file. Absent or stale-key snapshots are misses; corrupt, truncated,
+// or version-skewed ones are counted invalid and refused. A restored
 // design is rebuilt by re-running the deterministic analysis stages
-// over the snapshotted device tree, and the parse cache and stat
-// records are warmed so subsequent reloads stay incremental.
-func (a *Analyzer) snapshotLoad(ctx context.Context, netName, key, dir string, loadStart time.Time, sigs map[string]statSig) (design *Design, diags []Diagnostic, ok bool) {
+// over the snapshotted device tree, and the parse cache is warmed so
+// subsequent reloads stay incremental.
+func (a *Analyzer) snapshotLoad(ctx context.Context, netName, key string) (design *Design, diags []Diagnostic, ok bool) {
 	reg := telemetry.RegistryFrom(ctx)
 	registerHelp(reg)
 	lnet := telemetry.L("net", netName)
@@ -121,13 +84,13 @@ func (a *Analyzer) snapshotLoad(ctx context.Context, netName, key, dir string, l
 	for i, d := range s.Diags {
 		diags[i] = Diagnostic{File: d.File, Line: d.Line, Severity: d.Severity, Dialect: d.Dialect, Msg: d.Msg}
 	}
-	a.snapshotSeed(dir, loadStart, sigs, s, diags)
+	a.snapshotSeed(s, diags)
 	reg.Counter(MetricSnapshotLoads, lnet).Inc()
 	log.Info("design restored from snapshot", "path", path, "routers", len(s.Devices), "key", key)
 	return design, diags, true
 }
 
-// snapshotStore writes the analysis as dir's refreshed snapshot;
+// snapshotStore writes the analysis as netName's refreshed snapshot;
 // failures (or injected faults) just skip the write.
 func (a *Analyzer) snapshotStore(ctx context.Context, netName, key string, design *Design, diags []Diagnostic, files []snapshot.FileSig) {
 	reg := telemetry.RegistryFrom(ctx)
@@ -167,13 +130,15 @@ func (a *Analyzer) snapshotStore(ctx context.Context, netName, key string, desig
 	log.Info("snapshot written", "path", path, "routers", len(design.Network.Devices), "key", key)
 }
 
-// snapshotSeed warms the incremental layers from a restored snapshot:
-// each snapshotted file with a device becomes a parse-cache entry (so
-// an edited-one-file reload re-parses one file, not all of them) and a
-// stat record (so unchanged files are not even re-read). Files without
-// a device — the skipped, unparseable ones — get neither, matching
-// statUpdate: they are re-read and re-diagnosed every load.
-func (a *Analyzer) snapshotSeed(dir string, loadStart time.Time, sigs map[string]statSig, s *snapshot.Snapshot, diags []Diagnostic) {
+// snapshotSeed warms the parse cache from a restored snapshot: each
+// snapshotted file with a device becomes a cache entry, so an
+// edited-one-file reload re-parses one file, not all of them. Files
+// without a device — the skipped, unparseable ones — are not cached,
+// matching a fresh parse: they are re-diagnosed every load.
+func (a *Analyzer) snapshotSeed(s *snapshot.Snapshot, diags []Diagnostic) {
+	if a.cache == nil {
+		return
+	}
 	devByFile := make(map[string]*devmodel.Device, len(s.Devices))
 	for _, dev := range s.Devices {
 		devByFile[dev.FileName] = dev
@@ -184,60 +149,12 @@ func (a *Analyzer) snapshotSeed(dir string, loadStart time.Time, sigs map[string
 			diagsByFile[d.File] = append(diagsByFile[d.File], d)
 		}
 	}
-	skip := make(map[string]bool)
 	for _, f := range s.Files {
 		dev := devByFile[f.Name]
 		if dev == nil {
-			skip[f.Name] = true
 			continue
 		}
-		if a.cache != nil {
-			key := parsecache.Key{Dialect: f.Dialect, Name: f.Name, Sum: f.Sum}
-			a.cache.PutFrom(key, &cacheEntry{dev: dev, diags: diagsByFile[f.Name], dialect: f.Dialect}, f.Size, a.cacheOrigin)
-		}
+		key := parsecache.Key{Dialect: f.Dialect, Name: f.Name, Sum: f.Sum}
+		a.cache.PutFrom(key, &cacheEntry{dev: dev, diags: diagsByFile[f.Name], dialect: f.Dialect}, f.Size, a.cacheOrigin)
 	}
-	a.statSeedFromFiles(dir, loadStart, sigs, s.Files, skip)
-}
-
-// statSeedFromFiles publishes stat records straight from a signature
-// set (snapshot restore and unchanged-memo loads have no per-input
-// parse results to feed statUpdate). Same trust rule: a record is only
-// trusted once the file's mtime predates the load by the racily-clean
-// margin.
-func (a *Analyzer) statSeedFromFiles(dir string, loadStart time.Time, sigs map[string]statSig, files []snapshot.FileSig, skip map[string]bool) {
-	cutoff := loadStart.Add(-statSlack).UnixNano()
-	recs := make(map[string]statRecord, len(files))
-	for _, f := range files {
-		if skip[f.Name] {
-			continue
-		}
-		sig, ok := sigs[f.Name]
-		if !ok {
-			continue
-		}
-		recs[f.Name] = statRecord{
-			sig:     sig,
-			key:     parsecache.Key{Dialect: f.Dialect, Name: f.Name, Sum: f.Sum},
-			trusted: sig.mtimeNS < cutoff,
-		}
-	}
-	a.statMu.Lock()
-	if a.stats == nil {
-		a.stats = make(map[string]map[string]statRecord)
-	}
-	a.stats[dir] = recs
-	a.statMu.Unlock()
-}
-
-// skippedSet is SkippedFiles as a membership set.
-func skippedSet(diags []Diagnostic) map[string]bool {
-	names := SkippedFiles(diags)
-	if len(names) == 0 {
-		return nil
-	}
-	set := make(map[string]bool, len(names))
-	for _, n := range names {
-		set[n] = true
-	}
-	return set
 }

@@ -16,9 +16,9 @@ import (
 )
 
 // writeNamedConfigDir is writeConfigDir with a fixed directory base
-// name: the snapshot file and its content key are derived from
-// filepath.Base(dir), so tests that compare snapshots across
-// directories need the name pinned.
+// name. AnalyzeDir names the network after filepath.Base(dir), so a
+// test comparing an AnalyzeDir baseline with AnalyzeDirResult under a
+// network name pins the directory to that name.
 func writeNamedConfigDir(t *testing.T, name string, configs map[string]string) string {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), name)
@@ -60,7 +60,7 @@ func TestSnapshotColdStartRoundTrip(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	ctx := telemetry.WithRegistry(context.Background(), reg)
 	writer := NewAnalyzer(WithSnapshotDir(snapDir))
-	res, err := writer.AnalyzeDirResult(ctx, dir)
+	res, err := writer.AnalyzeDirResult(ctx, "netsnap", dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestSnapshotColdStartRoundTrip(t *testing.T) {
 	reg = telemetry.NewRegistry()
 	ctx = telemetry.WithRegistry(context.Background(), reg)
 	reader := NewAnalyzer(WithSnapshotDir(snapDir), WithCache(parsecache.New(0, 0)))
-	res2, err := reader.AnalyzeDirResult(ctx, dir)
+	res2, err := reader.AnalyzeDirResult(ctx, "netsnap", dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,18 +106,16 @@ func TestSnapshotColdStartRoundTrip(t *testing.T) {
 		t.Errorf("restored skipped list differs: %v", res2.Skipped)
 	}
 
-	// The restore must also warm the incremental layers: after marking
-	// the stat records trusted (standing in for statSlack aging), a
-	// one-file edit re-parses exactly two files — the edited one plus
-	// the unparseable one, which is re-diagnosed every load because
-	// parse failures are never cached (same as a warm parse cache).
-	markStatTrusted(reader, dir)
+	// The restore must also warm the parse cache: a one-file edit
+	// re-parses exactly two files — the edited one plus the unparseable
+	// one, which is re-diagnosed every load because parse failures are
+	// never cached (same as a warm parse cache).
 	if err := os.WriteFile(filepath.Join(dir, "jmix.cfg"), []byte(junosTestConfig+"\n/* touched */\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	reg = telemetry.NewRegistry()
 	ctx = telemetry.WithRegistry(context.Background(), reg)
-	res3, err := reader.AnalyzeDirResult(ctx, dir)
+	res3, err := reader.AnalyzeDirResult(ctx, "netsnap", dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,56 +127,52 @@ func TestSnapshotColdStartRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotUnchangedReloadIsMemoized: a reload whose signature set
-// is unchanged returns the in-memory design — same pointer, no swap
-// material — and counts as a snapshot load.
-func TestSnapshotUnchangedReloadIsMemoized(t *testing.T) {
-	dir := writeNamedConfigDir(t, "netmemo", mixedConfigs(t))
+// TestSnapshotUnchangedReloadRestores: a reload whose signature set is
+// unchanged restores from the snapshot the first load wrote, under the
+// same content key, and counts as a snapshot load.
+func TestSnapshotUnchangedReloadRestores(t *testing.T) {
+	dir := writeNamedConfigDir(t, "netunchanged", mixedConfigs(t))
 	an := NewAnalyzer(WithSnapshotDir(t.TempDir()))
 
-	res1, err := an.AnalyzeDirResult(context.Background(), dir)
+	res1, err := an.AnalyzeDirResult(context.Background(), "netunchanged", dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
 	ctx := telemetry.WithRegistry(context.Background(), reg)
-	res2, err := an.AnalyzeDirResult(ctx, dir)
+	res2, err := an.AnalyzeDirResult(ctx, "netunchanged", dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res2.FromSnapshot {
-		t.Fatalf("unchanged reload was not served from snapshot state")
-	}
-	if res2.Design != res1.Design {
-		t.Errorf("unchanged reload rebuilt the design instead of reusing it")
+		t.Fatalf("unchanged reload was not restored from the snapshot")
 	}
 	if res2.SnapshotKey != res1.SnapshotKey {
 		t.Errorf("snapshot key changed without an edit")
 	}
-	if got := netCounter(reg, MetricSnapshotLoads, "netmemo"); got != 1 {
+	if got := netCounter(reg, MetricSnapshotLoads, "netunchanged"); got != 1 {
 		t.Errorf("snapshot loads = %d, want 1", got)
 	}
 }
 
-// TestSnapshotInSlackEditInvalidates is the satellite-2 regression: a
-// file edited so soon after a load that its stat record is still inside
-// the racily-clean slack must change the snapshot key — the racily-
-// clean rule re-reads the file, and the re-read hash feeds the key, so
-// a warm snapshot (or memo) can never mask the edit.
+// TestSnapshotInSlackEditInvalidates: a file edited immediately after a
+// load, keeping its size and (on a coarse-timestamp filesystem) possibly
+// its mtime, must change the snapshot key. Every load re-reads and
+// re-hashes every file and the hashes feed the key, so a warm snapshot
+// can never mask the edit.
 func TestSnapshotInSlackEditInvalidates(t *testing.T) {
 	configs := mixedConfigs(t)
 	dir := writeNamedConfigDir(t, "netslack", configs)
 	snapDir := t.TempDir()
 	an := NewAnalyzer(WithSnapshotDir(snapDir), WithCache(parsecache.New(0, 0)))
 
-	res1, err := an.AnalyzeDirResult(context.Background(), dir)
+	res1, err := an.AnalyzeDirResult(context.Background(), "netslack", dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Edit immediately: the file's new mtime is within statSlack of the
-	// next load, so its stat record cannot be trusted and the file is
-	// re-read. Keep the size identical to rule out the size signal.
+	// Edit immediately, keeping the size identical: only the content
+	// differs.
 	cfgPath := filepath.Join(dir, "jmix.cfg")
 	orig, err := os.ReadFile(cfgPath)
 	if err != nil {
@@ -194,7 +188,7 @@ func TestSnapshotInSlackEditInvalidates(t *testing.T) {
 
 	reg := telemetry.NewRegistry()
 	ctx := telemetry.WithRegistry(context.Background(), reg)
-	res2, err := an.AnalyzeDirResult(ctx, dir)
+	res2, err := an.AnalyzeDirResult(ctx, "netslack", dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +269,7 @@ func TestSnapshotCorruptionFallsBack(t *testing.T) {
 	for _, tc := range corruptions {
 		t.Run(tc.name, func(t *testing.T) {
 			snapDir := t.TempDir()
-			if _, err := NewAnalyzer(WithSnapshotDir(snapDir)).AnalyzeDirResult(context.Background(), dir); err != nil {
+			if _, err := NewAnalyzer(WithSnapshotDir(snapDir)).AnalyzeDirResult(context.Background(), "netcorrupt", dir); err != nil {
 				t.Fatal(err)
 			}
 			path := snapPath(snapDir, "netcorrupt")
@@ -283,7 +277,7 @@ func TestSnapshotCorruptionFallsBack(t *testing.T) {
 
 			reg := telemetry.NewRegistry()
 			ctx := telemetry.WithRegistry(context.Background(), reg)
-			res, err := NewAnalyzer(WithSnapshotDir(snapDir)).AnalyzeDirResult(ctx, dir)
+			res, err := NewAnalyzer(WithSnapshotDir(snapDir)).AnalyzeDirResult(ctx, "netcorrupt", dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -307,7 +301,7 @@ func TestSnapshotCorruptionFallsBack(t *testing.T) {
 			// restores from it.
 			reg = telemetry.NewRegistry()
 			ctx = telemetry.WithRegistry(context.Background(), reg)
-			res2, err := NewAnalyzer(WithSnapshotDir(snapDir)).AnalyzeDirResult(ctx, dir)
+			res2, err := NewAnalyzer(WithSnapshotDir(snapDir)).AnalyzeDirResult(ctx, "netcorrupt", dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -331,7 +325,7 @@ func TestSnapshotDeterministicAcrossParallelism(t *testing.T) {
 		dir := writeNamedConfigDir(t, "netdet", configs)
 		snapDir := t.TempDir()
 		an := NewAnalyzer(WithParallelism(j), WithSnapshotDir(snapDir))
-		if _, err := an.AnalyzeDirResult(context.Background(), dir); err != nil {
+		if _, err := an.AnalyzeDirResult(context.Background(), "netdet", dir); err != nil {
 			t.Fatalf("j=%d: %v", j, err)
 		}
 		data, err := os.ReadFile(snapPath(snapDir, "netdet"))
@@ -366,7 +360,7 @@ func TestSnapshotFaultsDegradeGracefully(t *testing.T) {
 			WithSnapshotDir(snapDir),
 			WithFaults(faultinject.New(1, faultinject.Rule{Site: SiteSnapshotStore, Kind: faultinject.KindError})),
 		)
-		res, err := an.AnalyzeDirResult(context.Background(), dir)
+		res, err := an.AnalyzeDirResult(context.Background(), "netfault", dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -381,7 +375,7 @@ func TestSnapshotFaultsDegradeGracefully(t *testing.T) {
 	for _, kind := range []faultinject.Kind{faultinject.KindError, faultinject.KindPanic} {
 		t.Run("load-"+kind.String(), func(t *testing.T) {
 			snapDir := t.TempDir()
-			if _, err := NewAnalyzer(WithSnapshotDir(snapDir)).AnalyzeDirResult(context.Background(), dir); err != nil {
+			if _, err := NewAnalyzer(WithSnapshotDir(snapDir)).AnalyzeDirResult(context.Background(), "netfault", dir); err != nil {
 				t.Fatal(err)
 			}
 			reg := telemetry.NewRegistry()
@@ -390,7 +384,7 @@ func TestSnapshotFaultsDegradeGracefully(t *testing.T) {
 				WithSnapshotDir(snapDir),
 				WithFaults(faultinject.New(1, faultinject.Rule{Site: SiteSnapshotLoad, Kind: kind})),
 			)
-			res, err := an.AnalyzeDirResult(ctx, dir)
+			res, err := an.AnalyzeDirResult(ctx, "netfault", dir)
 			if err != nil {
 				t.Fatal(err)
 			}

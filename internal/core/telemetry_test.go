@@ -27,7 +27,7 @@ func TestAnalyzeDirEmitsTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	ctx := telemetry.WithRegistry(telemetry.WithCollector(context.Background(), col), reg)
 
-	d, _, err := AnalyzeDirContext(ctx, dir)
+	d, _, err := NewAnalyzer().AnalyzeDir(ctx, dir)
 	if err != nil {
 		t.Fatal(err)
 	}

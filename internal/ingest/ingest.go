@@ -227,12 +227,24 @@ func writeFileFrom(target string, r io.Reader, size int64) (int64, error) {
 		}
 		return 0, err
 	}
-	n, err := io.Copy(f, io.LimitReader(r, size))
+	n, err := io.Copy(f, archiveReader{io.LimitReader(r, size)})
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil && strings.Contains(err.Error(), "http: request body too large") {
 		return n, fmt.Errorf("%w: request body over the byte limit", ErrTooLarge)
+	}
+	return n, err
+}
+
+// archiveReader reports a failure to read an entry's body — a truncated
+// or corrupt stream — as ErrArchive: the archive is bad, not the server.
+type archiveReader struct{ r io.Reader }
+
+func (a archiveReader) Read(p []byte) (int, error) {
+	n, err := a.r.Read(p)
+	if err != nil && err != io.EOF {
+		err = fmt.Errorf("%w: reading entry: %v", ErrArchive, err)
 	}
 	return n, err
 }

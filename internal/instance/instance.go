@@ -123,8 +123,9 @@ type Model struct {
 	Edges     []*Edge
 
 	byNode map[*procgraph.Node]*Instance
-	// Lazily built per-instance edge indexes; the nil instance (external
-	// world) is indexed separately.
+	// Per-instance edge indexes, built once by Compute so concurrent
+	// readers never write; the nil instance (external world) is indexed
+	// separately.
 	inIdx, outIdx map[*Instance][]*Edge
 	extIn, extOut []*Edge
 }
@@ -210,6 +211,7 @@ func ComputeWith(g *procgraph.Graph, opts Options) *Model {
 
 	m.countExternalPeers()
 	m.buildEdges()
+	m.buildIndex()
 	return m
 }
 
@@ -315,12 +317,9 @@ func edgeKey(e *Edge) string {
 	return fmt.Sprintf("%04d-%04d-%d", f, t, e.Kind)
 }
 
-// buildIndex lazily constructs the per-instance edge indexes; the model is
+// buildIndex constructs the per-instance edge indexes; the model is
 // immutable after Compute.
 func (m *Model) buildIndex() {
-	if m.inIdx != nil {
-		return
-	}
 	m.inIdx = make(map[*Instance][]*Edge, len(m.Instances))
 	m.outIdx = make(map[*Instance][]*Edge, len(m.Instances))
 	for _, e := range m.Edges {
@@ -340,7 +339,6 @@ func (m *Model) buildIndex() {
 // EdgesInto returns the edges whose destination is the instance (nil for
 // the external world).
 func (m *Model) EdgesInto(in *Instance) []*Edge {
-	m.buildIndex()
 	if in == nil {
 		return m.extIn
 	}
@@ -350,7 +348,6 @@ func (m *Model) EdgesInto(in *Instance) []*Edge {
 // EdgesFrom returns the edges whose source is the instance (nil for the
 // external world).
 func (m *Model) EdgesFrom(in *Instance) []*Edge {
-	m.buildIndex()
 	if in == nil {
 		return m.extOut
 	}

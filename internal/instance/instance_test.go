@@ -2,6 +2,7 @@ package instance
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"routinglens/internal/ciscoparse"
@@ -267,4 +268,32 @@ func parseNet(t *testing.T, cfgs ...string) *devmodel.Network {
 		n.Devices = append(n.Devices, res.Device)
 	}
 	return n
+}
+
+// TestEdgeIndexConcurrentReaders: a served generation's first queries
+// read the edge indexes from several goroutines at once, so the indexes
+// must already exist when Compute returns. Four readers on a fresh model
+// each see every edge exactly once into and once out of its endpoint
+// (run under -race to catch a lazily built index).
+func TestEdgeIndexConcurrentReaders(t *testing.T) {
+	m := exampleModel(t)
+	endpoints := append([]*Instance{nil}, m.Instances...)
+	var wg sync.WaitGroup
+	counts := make([][2]int, 4)
+	for g := range counts {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for _, in := range endpoints {
+				counts[g][0] += len(m.EdgesInto(in))
+				counts[g][1] += len(m.EdgesFrom(in))
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g, c := range counts {
+		if c[0] != len(m.Edges) || c[1] != len(m.Edges) {
+			t.Errorf("reader %d: %d edges in, %d out, want %d each", g, c[0], c[1], len(m.Edges))
+		}
+	}
 }

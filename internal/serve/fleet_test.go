@@ -398,7 +398,7 @@ func TestReloadWorkerPoolBounds(t *testing.T) {
 			}
 			time.Sleep(30 * time.Millisecond)
 			inFlight.Add(-1)
-			return an.AnalyzeDirResult(ctx, exampleDir)
+			return an.AnalyzeDirResult(ctx, name, exampleDir)
 		}
 	}
 	s := newTestServer(t, func(c *Config) {

@@ -21,6 +21,7 @@ import (
 	"routinglens/internal/events"
 	"routinglens/internal/faultinject"
 	"routinglens/internal/ingest"
+	"routinglens/internal/snapshot"
 	"routinglens/internal/telemetry"
 )
 
@@ -187,6 +188,56 @@ func TestPushSwapsGeneration(t *testing.T) {
 	code, q, _ := get(t, ts.URL+"/v1/nets/push/quarantine")
 	if code != http.StatusOK || q["quarantined"] != false {
 		t.Errorf("quarantine after clean push: got %d %v, want 200/false", code, q)
+	}
+}
+
+// TestPushKeepsNetworkName: a push is analyzed from a staging
+// directory and later reloads read the promoted generation directory,
+// but the design and its snapshot stay named after the network. After
+// two pushes and a no-change reload the summary still says "push" and
+// the snapshot directory holds push.rlsnap alone.
+func TestPushKeepsNetworkName(t *testing.T) {
+	snapDir := t.TempDir()
+	s, dir := newIngestServer(t, func(c *Config) { c.SnapshotDir = snapDir })
+	mustReload(t, s)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	files := dirFiles(t, dir)
+	for _, add := range []struct{ name, addr string }{{"r7", "10.1.9.1"}, {"r8", "10.1.9.5"}} {
+		files[add.name+".cfg"] = "hostname " + add.name + "\ninterface Ethernet0\n ip address " + add.addr +
+			" 255.255.255.252\nrouter ospf 1\n network 10.0.0.0 0.255.255.255 area 0\n"
+		code, m := postBody(t, ts.URL+"/v1/nets/push/configs", archiveOf(t, files))
+		if code != http.StatusOK || m["result"] != "swapped" {
+			t.Fatalf("push adding %s: got %d %v, want 200 swapped", add.name, code, m)
+		}
+	}
+	resp, err := http.Post(ts.URL+"/v1/nets/push/reload", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rm map[string]any
+	json.NewDecoder(resp.Body).Decode(&rm)
+	resp.Body.Close()
+	if rm["unchanged"] != true {
+		t.Errorf("reload of the promoted generation: got %v, want unchanged", rm)
+	}
+
+	code, sum, _ := get(t, ts.URL+"/v1/nets/push/summary")
+	if code != http.StatusOK || sum["network"] != "push" || sum["routers"].(float64) != 8 {
+		t.Errorf("summary after two pushes: got %d network=%v routers=%v, want 200 push 8",
+			code, sum["network"], sum["routers"])
+	}
+	ents, err := os.ReadDir(snapDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	if len(names) != 1 || names[0] != "push"+snapshot.FileExt {
+		t.Errorf("snapshot dir holds %v, want only push%s", names, snapshot.FileExt)
 	}
 }
 

@@ -705,7 +705,7 @@ func (nw *Network) load(ctx context.Context, dir string) (*core.Result, error) {
 	if nw.loadFn != nil {
 		return nw.loadFn(ctx)
 	}
-	return nw.an.AnalyzeDirResult(ctx, dir)
+	return nw.an.AnalyzeDirResult(ctx, nw.name, dir)
 }
 
 // reloadReq parameterizes one reload: what drove it, whether to bypass

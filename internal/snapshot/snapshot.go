@@ -21,7 +21,7 @@
 // every byte slice Decode either fails or yields a value whose
 // re-encoding is byte-identical to the input. Callers fall back to full
 // re-analysis on any error: slower, never wrong — the same policy as the
-// stat fast path.
+// parse cache.
 package snapshot
 
 import (

@@ -151,25 +151,6 @@ func WithLogger(l *slog.Logger) AnalyzerOption { return core.WithLogger(l) }
 // DialectJunOS) instead of sniffing each file (DialectAuto).
 func WithDialectHint(d string) AnalyzerOption { return core.WithDialectHint(d) }
 
-// AnalyzeDir parses every file in dir as a router configuration and
-// extracts the network's routing design. The returned diagnostics are
-// warnings about individual malformed lines; they do not prevent analysis.
-//
-// Deprecated: use NewAnalyzer().AnalyzeDir, which takes a context and
-// adds parallelism, logger, and dialect control.
-func AnalyzeDir(dir string) (*Design, []Diagnostic, error) {
-	return core.AnalyzeDir(dir)
-}
-
-// AnalyzeConfigs extracts the routing design from an in-memory set of
-// configurations, keyed by hostname or file name.
-//
-// Deprecated: use NewAnalyzer().AnalyzeConfigs, which takes a context
-// and adds parallelism, logger, and dialect control.
-func AnalyzeConfigs(name string, configs map[string]string) (*Design, []Diagnostic, error) {
-	return core.AnalyzeConfigs(name, configs)
-}
-
 // Analyze extracts the routing design from an already-parsed network.
 func Analyze(n *Network) *Design { return core.Analyze(n) }
 

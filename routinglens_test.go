@@ -18,7 +18,7 @@ func TestPublicAnalyzeConfigs(t *testing.T) {
 		"a": "hostname a\ninterface Serial0\n ip address 10.0.0.1 255.255.255.252\nrouter ospf 1\n network 10.0.0.0 0.0.0.3 area 0\n",
 		"b": "hostname b\ninterface Serial0\n ip address 10.0.0.2 255.255.255.252\nrouter ospf 1\n network 10.0.0.0 0.0.0.3 area 0\n",
 	}
-	design, diags, err := routinglens.AnalyzeConfigs("tiny", configs)
+	design, diags, err := routinglens.NewAnalyzer().AnalyzeConfigs(context.Background(), "tiny", configs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestPublicAnalyzeConfigs(t *testing.T) {
 }
 
 // TestPublicAnalyzer exercises the configurable entry point: functional
-// options, parallel parsing, and agreement with the deprecated wrappers.
+// options, parallel parsing, and agreement with the default configuration.
 func TestPublicAnalyzer(t *testing.T) {
 	g := routinglens.GenerateCorpus(11).ByName("net7")
 	an := routinglens.NewAnalyzer(
@@ -49,13 +49,13 @@ func TestPublicAnalyzer(t *testing.T) {
 	if len(diags) != 0 {
 		t.Errorf("diags: %v", diags)
 	}
-	old, _, err := routinglens.AnalyzeConfigs(g.Name, g.Configs)
+	plain, _, err := routinglens.NewAnalyzer().AnalyzeConfigs(context.Background(), g.Name, g.Configs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if design.Summary() != old.Summary() {
-		t.Errorf("Analyzer and deprecated AnalyzeConfigs disagree:\n%s\nvs\n%s",
-			design.Summary(), old.Summary())
+	if design.Summary() != plain.Summary() {
+		t.Errorf("configured and default Analyzer disagree:\n%s\nvs\n%s",
+			design.Summary(), plain.Summary())
 	}
 	if an.Parallelism() != 4 {
 		t.Errorf("Parallelism() = %d, want 4", an.Parallelism())
@@ -88,7 +88,7 @@ func TestCorpusDiskRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	design, _, err := routinglens.AnalyzeDir(dir)
+	design, _, err := routinglens.NewAnalyzer().AnalyzeDir(context.Background(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestCorpusDiskRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	anonDesign, _, err := routinglens.AnalyzeConfigs("anon", anonConfigs)
+	anonDesign, _, err := routinglens.NewAnalyzer().AnalyzeConfigs(context.Background(), "anon", anonConfigs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestCorpusDiskRoundTrip(t *testing.T) {
 
 func TestPublicOperationalTools(t *testing.T) {
 	g := routinglens.GenerateCorpus(11).ByName("net6")
-	design, _, err := routinglens.AnalyzeConfigs(g.Name, g.Configs)
+	design, _, err := routinglens.NewAnalyzer().AnalyzeConfigs(context.Background(), g.Name, g.Configs)
 	if err != nil {
 		t.Fatal(err)
 	}
