@@ -11,8 +11,9 @@
 # stress racing the config watcher against pushes and manual reloads) —
 # and a short fuzz pass over every ingestion fuzz target including the
 # tar.gz push extractor
-# (fuzzsmoke); benchsmoke runs the instrumented pipeline benches once so
-# stage-instrumentation overhead stays visible in CI output. The
+# (fuzzsmoke); benchsmoke runs the instrumented pipeline benches and the
+# simulator benches once so stage-instrumentation overhead and the
+# simulator's time and allocations stay visible in CI output. The
 # operator-facing benchmark is not a make target: `bash perfbench/run.sh`
 # drives a real rlensd end to end (see perfbench/README.md).
 
@@ -52,4 +53,4 @@ fuzzsmoke:
 	go test -run '^$$' -fuzz '^FuzzTarIngest$$' -fuzztime $(FUZZTIME) ./internal/ingest
 
 benchsmoke:
-	go test -run '^$$' -bench BenchmarkAnalyze -benchtime=1x .
+	go test -run '^$$' -bench 'BenchmarkAnalyze|BenchmarkSimroute' -benchtime=1x .

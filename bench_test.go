@@ -196,6 +196,24 @@ func BenchmarkSimrouteNet15(b *testing.B) {
 	}
 }
 
+// BenchmarkSimrouteNet5 measures what an rlensd reload of the 881-router
+// network pays in the simulator: the fixpoint with a default route
+// injected at all 18 peers, then the two network-wide reach views.
+func BenchmarkSimrouteNet5(b *testing.B) {
+	na := workspace(b).ByName("net5")
+	space := addrspace.Discover(addrspace.CollectSubnets(na.Net), addrspace.Options{})
+	ext := []simroute.ExternalRoute{{Prefix: mustPrefix("0.0.0.0/0")}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := simroute.New(na.Graph, ext)
+		s.Run()
+		an := reach.AnalyzeReduced(na.Model, s, space)
+		an.HasDefaultRoute()
+		an.AdmittedExternalRoutes()
+	}
+}
+
 // BenchmarkReachNet15 measures the full reachability analysis.
 func BenchmarkReachNet15(b *testing.B) {
 	na := workspace(b).ByName("net15")
@@ -309,19 +327,6 @@ func net5Simulation(b *testing.B) *simroute.Sim {
 		net5Sim.Run()
 	})
 	return net5Sim
-}
-
-// BenchmarkSimrouteNet5 measures the control-plane fixpoint over the full
-// 881-router network with a default route injected at all 18 peers.
-func BenchmarkSimrouteNet5(b *testing.B) {
-	na := workspace(b).ByName("net5")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := simroute.New(na.Graph, []simroute.ExternalRoute{
-			{Prefix: mustPrefix("0.0.0.0/0")},
-		})
-		s.Run()
-	}
 }
 
 // BenchmarkTraceNet5 measures static traceroute reconstruction across the

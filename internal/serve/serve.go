@@ -231,8 +231,10 @@ type Config struct {
 
 // State is one immutable analysis generation. The server swaps whole
 // *State pointers, so a query sees one consistent design from first byte
-// to last even while a reload lands. Derived analyses (reachability,
-// survivability) are computed lazily, once per generation.
+// to last even while a reload lands. Reachability (and the quotient under
+// Config.Compress) is built before the generation is published, whether
+// the design was analyzed or restored from a snapshot; survivability is
+// computed on first use. Each is computed once per generation.
 type State struct {
 	Res      *core.Result
 	Seq      int64
@@ -821,31 +823,17 @@ func (nw *Network) reload(ctx context.Context, req reloadReq) error {
 			st := &State{Res: res, Seq: nw.seq.Add(1), LoadedAt: time.Now(),
 				compressOn: s.cfg.Compress}
 			pstart := time.Now()
-			var precomputeDur time.Duration
-			if res.FromSnapshot {
-				// Snapshot cold start: publish in milliseconds and warm the
-				// quotient and reach views in the background. A query racing
-				// the warm-up falls back to the generation's lazy compute,
-				// which is slower but identical.
-				go func() {
-					if st.compressOn {
-						st.buildQuotient(s.reg, lnet, s.log)
-					}
-					st.precomputeReach(s.log)
-				}()
-			} else {
-				// Precompute the expensive per-generation analyses BEFORE the
-				// pointer swap: queries keep hitting the previous generation's
-				// resident view until the new one is fully warm, so a reload
-				// never exposes a cold (sheddable) reach window. The quotient
-				// goes first — computeReach simulates on it when compression
-				// is on.
-				if st.compressOn {
-					st.buildQuotient(s.reg, lnet, s.log)
-				}
-				st.precomputeReach(s.log)
-				precomputeDur = time.Since(pstart)
+			// Precompute the expensive per-generation analyses BEFORE the
+			// pointer swap, snapshot restores included: queries keep hitting
+			// the previous generation's resident view until the new one is
+			// fully warm, so a reload never exposes a cold (sheddable) reach
+			// window. The quotient goes first — computeReach simulates on it
+			// when compression is on.
+			if st.compressOn {
+				st.buildQuotient(s.reg, lnet, s.log)
 			}
+			st.precomputeReach(s.log)
+			precomputeDur := time.Since(pstart)
 			if req.promote != nil {
 				// Pushed configs: move the admitted staging dir into the
 				// generation chain before the swap, so the swapped-in design

@@ -146,6 +146,35 @@ func TestSnapshotColdStartAndUnchangedReload(t *testing.T) {
 	}
 }
 
+// TestSnapshotColdStartWarmsReach: a generation restored from a snapshot,
+// like every other, has its reach analysis (and, under Compress, its
+// quotient) built before the reload that publishes it returns, so no
+// query pays for or races a simulation.
+func TestSnapshotColdStartWarmsReach(t *testing.T) {
+	dir := copyCorpus(t, "snapwarm")
+	snapDir := t.TempDir()
+	mustReload(t, snapServer(t, dir, snapDir))
+
+	for _, compressOn := range []bool{false, true} {
+		s := newTestServer(t, func(cfg *Config) {
+			cfg.Dir = dir
+			cfg.SnapshotDir = snapDir
+			cfg.Compress = compressOn
+		})
+		mustReload(t, s)
+		st := s.defNet.cur.Load()
+		if !st.Res.FromSnapshot {
+			t.Fatalf("compress=%t: cold start did not restore from the snapshot", compressOn)
+		}
+		if st.reached == nil {
+			t.Errorf("compress=%t: reach analysis not resident when the reload returned", compressOn)
+		}
+		if compressOn && st.quot == nil {
+			t.Error("compress=true: quotient not resident when the reload returned")
+		}
+	}
+}
+
 func TestSnapshotCorruptionServesIdenticalAnswers(t *testing.T) {
 	dir := copyCorpus(t, "snapcorrupt")
 	snapDir := t.TempDir()

@@ -1,7 +1,9 @@
 package simroute
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"routinglens/internal/ciscoparse"
@@ -128,4 +130,63 @@ router ospf 1
 	if !s.HasRoute(n.Device("inner"), netaddr.MustParsePrefix("203.0.113.0/24")) {
 		t.Error("permitted route should propagate to the interior")
 	}
+}
+
+// Property: after Run every query only reads, so one Sim serves
+// concurrent readers with the answers a lone reader gets (tier 2 runs
+// this under -race).
+func TestConcurrentQueries(t *testing.T) {
+	n, err := paperexample.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := procgraph.Build(n, topology.Build(n))
+	def := netaddr.MustParsePrefix("0.0.0.0/0")
+	s := New(g, []ExternalRoute{{Prefix: def}})
+	s.Run()
+
+	render := func() string {
+		var b strings.Builder
+		route := func(r *Route) { fmt.Fprintf(&b, " %s%v%v", r.Prefix, r.Tags, r.Origins) }
+		for _, d := range n.Devices {
+			for _, sel := range s.RouterRoutes(d) {
+				route(sel.Route)
+				fmt.Fprintf(&b, "/%s/%d", sel.Proto, sel.Distance)
+			}
+			fmt.Fprint(&b, s.ExternalRoutesAt(d), s.HasRoute(d, def))
+			for _, i := range d.Interfaces {
+				for _, a := range i.Addrs {
+					if sel, p, ok := s.SelectedAt(d, a.Addr+1); ok {
+						route(sel.Route)
+						fmt.Fprint(&b, p)
+					}
+					fmt.Fprint(&b, s.CanReach(d, a.Addr+2))
+				}
+			}
+			for _, p := range d.Processes {
+				for _, r := range s.ProcRoutes(p) {
+					route(r)
+					if from := s.LearnedFrom(g.ProcNode(p), r.Prefix); from != nil {
+						b.WriteString(from.ID())
+					}
+				}
+			}
+		}
+		for _, ext := range g.ExternalNodes() {
+			fmt.Fprint(&b, s.AnnouncedToExternal(ext))
+		}
+		return b.String()
+	}
+	want := render()
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := render(); got != want {
+				t.Error("a concurrent reader got different answers")
+			}
+		}()
+	}
+	wg.Wait()
 }

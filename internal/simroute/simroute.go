@@ -9,11 +9,27 @@
 // appear in which RIBs under the configured policies" — the question the
 // paper's reachability analysis [27] needs — rather than computing exact
 // best paths, metrics, or convergence dynamics.
+//
+// Representation. Flows only move prefixes that origination put somewhere,
+// so the prefix universe is fixed once New returns: prefixes are interned
+// to dense IDs in address order, and one binary trie over them serves
+// longest-prefix match. A route's attributes — its (tags, origins) label
+// sets — are interned too, with memoized unions, so merging a route into a
+// RIB compares and stores one small integer. The RIB of a node that
+// receives flows (process and external nodes) is a pointer-free array
+// indexed by prefix ID holding the attribute ID and the node the prefix
+// was first learned from; local RIBs, which only originate, are short
+// sorted lists. Router-RIB selection is not stored: queries select by
+// administrative distance from the device's local and process RIBs when
+// asked, and build Route and Selected values only for what they return.
 package simroute
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"routinglens/internal/devmodel"
 	"routinglens/internal/netaddr"
@@ -21,10 +37,8 @@ import (
 )
 
 // LabelSet is a small set of string labels stored as a sorted slice.
-// Routes carry at most a handful of tags and origins, and the fixpoint
-// loop merges label sets once per (edge, route change) — millions of
-// times at provider scale — where a short slice beats a map on both
-// iteration and allocation. The zero value is the empty set.
+// Routes carry at most a handful of tags and origins. The zero value is
+// the empty set.
 type LabelSet []string
 
 // Has reports membership.
@@ -37,16 +51,26 @@ func (s LabelSet) Has(v string) bool {
 	return false
 }
 
-// add inserts v in sorted position, reporting whether it was new.
-func (s *LabelSet) add(v string) bool {
-	i := sort.SearchStrings(*s, v)
-	if i < len(*s) && (*s)[i] == v {
-		return false
+// union returns the sorted union of two label sets as a new slice.
+func union(a, b LabelSet) LabelSet {
+	out := make(LabelSet, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			out = append(out, a[i])
+			i++
+		case a[i] > b[j]:
+			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
+		}
 	}
-	*s = append(*s, "")
-	copy((*s)[i+1:], (*s)[i:])
-	(*s)[i] = v
-	return true
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
 }
 
 // Route is one routing-table entry in a RIB. Tags and origins accumulate
@@ -61,73 +85,19 @@ type Route struct {
 	Origins LabelSet
 }
 
-func newRoute(p netaddr.Prefix) *Route {
-	return &Route{Prefix: p}
-}
-
 // HasOrigin reports whether the route carries the origin label.
 func (r *Route) HasOrigin(o string) bool { return r.Origins.Has(o) }
 
 // ExternalOrigin reports whether any origin is external.
-func (r *Route) ExternalOrigin() bool {
-	for _, o := range r.Origins {
+func (r *Route) ExternalOrigin() bool { return externalOrigin(r.Origins) }
+
+func externalOrigin(origins LabelSet) bool {
+	for _, o := range origins {
 		if len(o) > 9 && o[:9] == "external:" {
 			return true
 		}
 	}
 	return false
-}
-
-// rib is a monotone route set keyed by prefix. Every insertion or
-// attribute change appends the affected route to log, so consumers (the
-// fixpoint loop's edges) can process deltas instead of rescanning the
-// whole RIB.
-type rib struct {
-	routes map[netaddr.Prefix]*Route
-	log    []*Route
-}
-
-func newRIB() *rib { return &rib{routes: make(map[netaddr.Prefix]*Route)} }
-
-// merge folds src (with optional extra tag) into the rib, reporting whether
-// anything changed.
-func (rb *rib) merge(src *Route, setTag string) bool {
-	dst, ok := rb.routes[src.Prefix]
-	if !ok {
-		dst = newRoute(src.Prefix)
-		rb.routes[src.Prefix] = dst
-	}
-	changed := !ok
-	for _, t := range src.Tags {
-		if dst.Tags.add(t) {
-			changed = true
-		}
-	}
-	if setTag != "" && dst.Tags.add(setTag) {
-		changed = true
-	}
-	for _, o := range src.Origins {
-		if dst.Origins.add(o) {
-			changed = true
-		}
-	}
-	if changed {
-		rb.log = append(rb.log, dst)
-	}
-	return changed
-}
-
-func (rb *rib) addOrigin(p netaddr.Prefix, origin string) bool {
-	r, ok := rb.routes[p]
-	if !ok {
-		r = newRoute(p)
-		rb.routes[p] = r
-	}
-	if !r.Origins.add(origin) {
-		return false
-	}
-	rb.log = append(rb.log, r)
-	return true
 }
 
 // ExternalRoute is a route injected at an external peer.
@@ -137,17 +107,214 @@ type ExternalRoute struct {
 	AS uint32
 }
 
-// Sim is one simulation over a process graph.
+// attrID names one interned (tags, origins) pair. 0 means no route.
+type attrID uint32
+
+// attrs is one interned (tags, origins) pair and the facts route
+// selection and the reach views read from it.
+type attrs struct {
+	tags, origins LabelSet
+	external      bool // some origin is external
+	// static marks a local route selection installs as static: it has
+	// the "static" origin and not the "connected" one.
+	static bool
+}
+
+// labelKey memoizes adding one label to an attribute set.
+type labelKey struct {
+	a     attrID
+	label string
+	tag   bool // a tag, else an origin
+}
+
+// interner assigns attribute IDs and memoizes the set operations the
+// fixpoint performs on them. Only New and Run write it.
+type interner struct {
+	sets   []attrs // by attrID; sets[0] is the absent route
+	index  map[string]attrID
+	unions map[[2]attrID]attrID
+	added  map[labelKey]attrID
+	// recent caches unions direct-mapped in front of the map: the
+	// fixpoint asks for the same few pairs millions of times.
+	recent [1024]struct{ a, b, id attrID }
+}
+
+func newInterner() *interner {
+	return &interner{
+		sets:   []attrs{{}},
+		index:  make(map[string]attrID),
+		unions: make(map[[2]attrID]attrID),
+		added:  make(map[labelKey]attrID),
+	}
+}
+
+// intern returns the ID of the (tags, origins) pair, taking ownership of
+// both slices when the pair is new.
+func (in *interner) intern(tags, origins LabelSet) attrID {
+	key := strings.Join(tags, "\x00") + "\x01" + strings.Join(origins, "\x00")
+	if id, ok := in.index[key]; ok {
+		return id
+	}
+	if len(tags) == 0 {
+		tags = nil // as a route that never had a tag set
+	}
+	id := attrID(len(in.sets))
+	in.sets = append(in.sets, attrs{
+		tags:     slices.Clip(tags),
+		origins:  slices.Clip(origins),
+		external: externalOrigin(origins),
+		static:   origins.Has("static") && !origins.Has("connected"),
+	})
+	in.index[key] = id
+	return id
+}
+
+// union returns the ID of the label-wise union of a and b.
+func (in *interner) union(a, b attrID) attrID {
+	if a == b || b == 0 {
+		return a
+	}
+	if a == 0 {
+		return b
+	}
+	if a > b {
+		a, b = b, a
+	}
+	e := &in.recent[(a*0x9e3779b1^b)%attrID(len(in.recent))]
+	if e.a == a && e.b == b {
+		return e.id
+	}
+	key := [2]attrID{a, b}
+	id, ok := in.unions[key]
+	if !ok {
+		sa, sb := in.sets[a], in.sets[b]
+		id = in.intern(union(sa.tags, sb.tags), union(sa.origins, sb.origins))
+		in.unions[key] = id
+	}
+	e.a, e.b, e.id = a, b, id
+	return id
+}
+
+// add returns the ID of a with one more tag (tag) or origin (!tag).
+func (in *interner) add(a attrID, label string, tag bool) attrID {
+	key := labelKey{a, label, tag}
+	if id, ok := in.added[key]; ok {
+		return id
+	}
+	s := in.sets[a]
+	tags, origins := s.tags, s.origins
+	if tag {
+		tags = union(tags, LabelSet{label})
+	} else {
+		origins = union(origins, LabelSet{label})
+	}
+	id := in.intern(tags, origins)
+	in.added[key] = id
+	return id
+}
+
+// slot is one prefix's entry in a flow-target RIB.
+type slot struct {
+	attr attrID
+	// from is 1 + the index of the node the prefix was first learned
+	// from; 0 when the node originated it (or holds no route).
+	from int32
+}
+
+// localRoute is one entry of a local RIB.
+type localRoute struct {
+	pid  int32
+	attr attrID
+}
+
+// rib is a monotone route set keyed by prefix ID. Every insertion or
+// attribute change appends the prefix ID to log, so the fixpoint loop's
+// edges process deltas instead of rescanning the whole RIB.
+type rib struct {
+	slots []slot       // flow targets: indexed by prefix ID
+	local []localRoute // local RIBs: sorted by prefix ID
+	log   []int32
+	// ext lists the prefix IDs whose route carries an external origin,
+	// in the order they gained one.
+	ext []int32
+}
+
+// attr returns the attribute ID of the prefix's route, 0 when absent.
+func (rb *rib) attr(pid int32) attrID {
+	if rb.slots != nil {
+		return rb.slots[pid].attr
+	}
+	if i, ok := rb.find(pid); ok {
+		return rb.local[i].attr
+	}
+	return 0
+}
+
+// find returns the position of the prefix in a local RIB and whether
+// the RIB holds it.
+func (rb *rib) find(pid int32) (int, bool) {
+	return slices.BinarySearchFunc(rb.local, pid, func(r localRoute, pid int32) int { return cmp.Compare(r.pid, pid) })
+}
+
+// set records a new attribute for the prefix's route and logs the change.
+func (rb *rib) set(in *interner, pid int32, old, a attrID) {
+	if rb.slots != nil {
+		rb.slots[pid].attr = a
+	} else if i, ok := rb.find(pid); ok {
+		rb.local[i].attr = a
+	} else {
+		rb.local = slices.Insert(rb.local, i, localRoute{pid, a})
+	}
+	rb.log = append(rb.log, pid)
+	if in.sets[a].external && !in.sets[old].external {
+		rb.ext = append(rb.ext, pid)
+	}
+}
+
+// trieNode is one bit position of the prefix trie. Child index 0 means
+// none: the root is node 0 and is nobody's child.
+type trieNode struct {
+	child [2]int32
+	pid   int32 // the prefix ending here, or -1
+}
+
+// flow is one adjacency or redistribution edge in the fixpoint's order.
+type flow struct {
+	edge     *procgraph.Edge
+	from, to int32 // node indices
+	// dev holds the ACLs and route-maps in scope for the edge's policy;
+	// nil when the edge carries no policy or no device scopes it.
+	dev *devmodel.Device
+}
+
+// devRIBs lists the RIBs route selection reads on one device: its local
+// RIB, then its processes in configuration order.
+type devRIBs struct {
+	local int32
+	procs []procRIB
+}
+
+// procRIB is one process RIB route selection reads, with the protocol
+// and administrative distance its routes are installed under.
+type procRIB struct {
+	node  int32
+	proto devmodel.Protocol
+	dist  int
+}
+
+// Sim is one simulation over a process graph. After Run, every query is
+// read-only, so one Sim may serve concurrent readers.
 type Sim struct {
 	Graph *procgraph.Graph
-	ribs  map[*procgraph.Node]*rib
-	// routerRIB holds the post-selection table per device.
-	routerRIB map[*devmodel.Device]map[netaddr.Prefix]Selected
-	// provenance records, per (node, prefix), the node the route was first
-	// learned from — the edge source of the first merge that introduced
-	// the prefix. Used by the trace package to reconstruct a plausible
-	// forwarding path.
-	provenance map[*procgraph.Node]map[netaddr.Prefix]*procgraph.Node
+
+	prefixes []netaddr.Prefix // by prefix ID, in address order
+	trie     []trieNode
+	labels   *interner
+	nodeIdx  map[*procgraph.Node]int32
+	ribs     []rib // by node index in Graph.Nodes
+	flows    []flow
+	devs     map[*devmodel.Device]devRIBs
+
 	// devAlias/procAlias redirect device- and process-keyed queries onto
 	// class representatives when the sim runs over a compressed graph
 	// (see internal/compress). Nil in the ordinary full-graph case.
@@ -203,40 +370,97 @@ type Selected struct {
 // injected at all external peers).
 func New(g *procgraph.Graph, external []ExternalRoute) *Sim {
 	s := &Sim{
-		Graph:      g,
-		ribs:       make(map[*procgraph.Node]*rib),
-		routerRIB:  make(map[*devmodel.Device]map[netaddr.Prefix]Selected),
-		provenance: make(map[*procgraph.Node]map[netaddr.Prefix]*procgraph.Node),
+		Graph:   g,
+		labels:  newInterner(),
+		nodeIdx: make(map[*procgraph.Node]int32, len(g.Nodes)),
+		ribs:    make([]rib, len(g.Nodes)),
+		devs:    make(map[*devmodel.Device]devRIBs, len(g.Network.Devices)),
 	}
+	for i, n := range g.Nodes {
+		s.nodeIdx[n] = int32(i)
+	}
+	origins := s.originateLocal(nil)
+	origins = s.injectExternal(origins, external)
+	s.internPrefixes(origins)
+
+	// Flow targets get one array slot per prefix, carved from one backing
+	// array; local RIBs stay sparse.
+	targets := 0
 	for _, n := range g.Nodes {
-		s.ribs[n] = newRIB()
+		if n.Kind == procgraph.ProcRIB || n.Kind == procgraph.External {
+			targets++
+		}
 	}
-	s.originateLocal()
-	s.injectExternal(external)
+	backing := make([]slot, targets*len(s.prefixes))
+	for i, n := range g.Nodes {
+		if n.Kind == procgraph.ProcRIB || n.Kind == procgraph.External {
+			s.ribs[i].slots = backing[:len(s.prefixes):len(s.prefixes)]
+			backing = backing[len(s.prefixes):]
+		}
+	}
+	for _, o := range origins {
+		rb := &s.ribs[o.node]
+		pid := s.lookup(o.prefix)
+		old := rb.attr(pid)
+		if a := s.labels.add(old, o.label, false); a != old {
+			rb.set(s.labels, pid, old, a)
+		}
+	}
+
+	s.flows = make([]flow, 0, len(g.Edges))
+	for _, e := range g.Edges {
+		if e.Kind != procgraph.Adjacency && e.Kind != procgraph.Redistribution {
+			continue
+		}
+		f := flow{edge: e, from: s.nodeIdx[e.From], to: s.nodeIdx[e.To]}
+		if len(e.DistributeLists) > 0 || e.RouteMap != "" {
+			if e.To.Device != nil {
+				f.dev = e.To.Device
+			} else {
+				f.dev = e.From.Device
+			}
+		}
+		s.flows = append(s.flows, f)
+	}
+	for _, d := range g.Network.Devices {
+		dr := devRIBs{local: s.nodeIdx[g.LocalNode(d)], procs: make([]procRIB, len(d.Processes))}
+		for i, p := range d.Processes {
+			dr.procs[i] = procRIB{s.nodeIdx[g.ProcNode(p)], p.Protocol, p.Protocol.AdminDistance()}
+		}
+		s.devs[d] = dr
+	}
 	return s
 }
 
-// originateLocal seeds local RIBs with connected subnets and static routes,
-// and process RIBs with the connected subnets their network statements
-// cover.
-func (s *Sim) originateLocal() {
+// origin is one origination event: a label added to a prefix's route in
+// a node's RIB.
+type origin struct {
+	node   int32
+	prefix netaddr.Prefix
+	label  string
+}
+
+// originateLocal records the seeding of local RIBs with connected subnets
+// and static routes, and of process RIBs with the connected subnets their
+// network statements cover.
+func (s *Sim) originateLocal(out []origin) []origin {
 	for _, d := range s.Graph.Network.Devices {
-		local := s.ribs[s.Graph.LocalNode(d)]
+		local := s.nodeIdx[s.Graph.LocalNode(d)]
 		for _, i := range d.Interfaces {
 			if i.Shutdown {
 				continue
 			}
 			for _, a := range i.Addrs {
 				if p, ok := a.Prefix(); ok {
-					local.addOrigin(p, "connected")
+					out = append(out, origin{local, p, "connected"})
 				}
 			}
 		}
 		for _, sr := range d.Statics {
-			local.addOrigin(sr.Prefix, "static")
+			out = append(out, origin{local, sr.Prefix, "static"})
 		}
 		for _, proc := range d.Processes {
-			prib := s.ribs[s.Graph.ProcNode(proc)]
+			pn := s.nodeIdx[s.Graph.ProcNode(proc)]
 			for _, i := range d.Interfaces {
 				if i.Shutdown {
 					continue
@@ -246,7 +470,7 @@ func (s *Sim) originateLocal() {
 					if !ok || !proc.CoversAddr(a.Addr) {
 						continue
 					}
-					prib.addOrigin(p, "connected")
+					out = append(out, origin{pn, p, "connected"})
 				}
 			}
 			// BGP additionally originates explicit network statements with
@@ -255,148 +479,184 @@ func (s *Sim) originateLocal() {
 				for _, ns := range proc.Networks {
 					if ns.HasMask {
 						if p, err := netaddr.PrefixFromMask(ns.Addr, ns.Mask); err == nil {
-							prib.addOrigin(p, "connected")
+							out = append(out, origin{pn, p, "connected"})
 						}
 					}
 				}
 			}
 		}
 	}
+	return out
 }
 
-func (s *Sim) injectExternal(external []ExternalRoute) {
+func (s *Sim) injectExternal(out []origin, external []ExternalRoute) []origin {
 	for _, n := range s.Graph.ExternalNodes() {
-		rb := s.ribs[n]
+		label := fmt.Sprintf("external:AS%d", n.ExtAS)
 		for _, er := range external {
 			if er.AS == 0 || er.AS == n.ExtAS {
-				rb.addOrigin(er.Prefix, fmt.Sprintf("external:AS%d", n.ExtAS))
+				out = append(out, origin{s.nodeIdx[n], er.Prefix, label})
 			}
 		}
 	}
+	return out
 }
 
-// Run iterates route propagation to a fixpoint and then performs route
-// selection into every router RIB. It returns the number of propagation
-// rounds executed.
+// internPrefixes numbers the originated prefixes in address order and
+// builds the trie over them.
+func (s *Sim) internPrefixes(origins []origin) {
+	for _, o := range origins {
+		s.prefixes = append(s.prefixes, o.prefix)
+	}
+	sort.Slice(s.prefixes, func(i, j int) bool { return s.prefixes[i].Less(s.prefixes[j]) })
+	s.prefixes = slices.Clip(slices.Compact(s.prefixes))
+	s.trie = []trieNode{{pid: -1}}
+	for pid, p := range s.prefixes {
+		n := int32(0)
+		for depth := 0; depth < p.Bits(); depth++ {
+			bit := uint32(p.Addr()) >> (31 - depth) & 1
+			if s.trie[n].child[bit] == 0 {
+				s.trie[n].child[bit] = int32(len(s.trie))
+				s.trie = append(s.trie, trieNode{pid: -1})
+			}
+			n = s.trie[n].child[bit]
+		}
+		s.trie[n].pid = int32(pid)
+	}
+}
+
+// lookup returns the prefix's ID, or -1 when no RIB holds it.
+func (s *Sim) lookup(p netaddr.Prefix) int32 {
+	n := int32(0)
+	for depth := 0; depth < p.Bits(); depth++ {
+		if n = s.trie[n].child[uint32(p.Addr())>>(31-depth)&1]; n == 0 {
+			return -1
+		}
+	}
+	return s.trie[n].pid
+}
+
+// Run iterates route propagation to a fixpoint. It returns the number of
+// propagation rounds executed. Router-RIB selection happens per query.
 //
 // Propagation is incremental: every RIB keeps an append-only log of route
 // insertions and attribute changes, and each edge holds a cursor into its
 // source's log, so a route is pushed across an edge once per change rather
-// than once per round. On the 881-router case-study network this is the
-// difference between seconds and minutes.
+// than once per round. Edges are visited in the graph's edge order, and a
+// round's flow over an edge takes the source log as it stands when the
+// edge is reached. The order matters: route-maps that match tags make the
+// fixpoint depend on which pathway delivers a prefix first.
+//
+// Run needs no round cap. A round runs again only when some flow added a
+// prefix to a RIB or a label to a route; every RIB holds a subset of the
+// prefixes originated in New, and every route's labels are drawn from the
+// finite set of origins and route-map tags, so the loop stops after at
+// most (flow-target nodes × prefixes × (labels + 1)) + 1 rounds.
 func (s *Sim) Run() int {
-	// cursor[e] is how much of the source log edge e has consumed.
-	cursor := make(map[*procgraph.Edge]int, len(s.Graph.Edges))
+	// cursor[i] is how much of its source log flow i has consumed.
+	cursor := make([]int, len(s.flows))
 	rounds := 0
 	for {
 		rounds++
 		changed := false
-		for _, e := range s.Graph.Edges {
-			if e.Kind != procgraph.Adjacency && e.Kind != procgraph.Redistribution {
-				continue
-			}
-			src := s.ribs[e.From]
-			from := cursor[e]
+		for i := range s.flows {
+			f := &s.flows[i]
+			src := &s.ribs[f.from]
+			from := cursor[i]
 			if from == len(src.log) {
 				continue
 			}
 			// Snapshot the log length: entries appended during this flow
 			// belong to the next round.
 			to := len(src.log)
-			cursor[e] = to
-			if s.flowDelta(e, src.log[from:to]) {
+			cursor[i] = to
+			if s.flowDelta(f, src.log[from:to]) {
 				changed = true
 			}
 		}
-		if !changed || rounds > 10000 {
-			break
+		if !changed {
+			return rounds
 		}
 	}
-	s.selectRoutes()
-	return rounds
 }
 
-// flowDelta moves the given changed routes across one edge, applying the
-// edge's policy annotations. It reports whether the destination RIB
-// changed.
-func (s *Sim) flowDelta(e *procgraph.Edge, delta []*Route) bool {
-	dst := s.ribs[e.To]
+// flowDelta moves the routes of the given changed prefixes across one
+// edge, applying the edge's policy annotations. It reports whether the
+// destination RIB changed.
+func (s *Sim) flowDelta(f *flow, delta []int32) bool {
+	src, dst := &s.ribs[f.from], &s.ribs[f.to]
+	in := s.labels
 	changed := false
-
-	var dev *devmodel.Device
-	if e.To.Device != nil {
-		dev = e.To.Device
-	} else if e.From.Device != nil {
-		dev = e.From.Device
-	}
-
-	for _, r := range delta {
-		ok, setTag := s.permitted(e, dev, r)
-		if !ok {
-			continue
+	for _, pid := range delta {
+		var a attrID
+		if src.slots != nil {
+			a = src.slots[pid].attr
+		} else {
+			a = src.attr(pid)
 		}
-		_, knew := dst.routes[r.Prefix]
-		if dst.merge(r, setTag) {
-			changed = true
-			if !knew {
-				prov := s.provenance[e.To]
-				if prov == nil {
-					prov = make(map[netaddr.Prefix]*procgraph.Node)
-					s.provenance[e.To] = prov
-				}
-				prov[r.Prefix] = e.From
+		if f.dev != nil {
+			ok, setTag := s.permitted(f.edge, f.dev, s.prefixes[pid], in.sets[a].tags)
+			if !ok {
+				continue
+			}
+			if setTag != "" {
+				a = in.add(a, setTag, true)
 			}
 		}
+		sl := &dst.slots[pid]
+		old := sl.attr
+		if old == a {
+			continue
+		}
+		merged := in.union(old, a)
+		if merged == old {
+			continue
+		}
+		if old == 0 {
+			sl.from = f.from + 1
+		}
+		dst.set(in, pid, old, merged)
+		changed = true
 	}
 	return changed
 }
 
 // LearnedFrom returns the node from which the given node first learned the
-// prefix, or nil when the node originated the route itself.
+// prefix — the edge source of the first flow that brought it — or nil when
+// the node originated the route itself.
 func (s *Sim) LearnedFrom(n *procgraph.Node, p netaddr.Prefix) *procgraph.Node {
-	return s.provenance[n][p]
-}
-
-// SelectedAt returns the winning router-RIB entry covering addr at the
-// device using longest-prefix match, with ok=false when no route covers
-// the address.
-func (s *Sim) SelectedAt(d *devmodel.Device, addr netaddr.Addr) (Selected, netaddr.Prefix, bool) {
-	var best Selected
-	var bestPfx netaddr.Prefix
-	found := false
-	for p, sel := range s.routerRIB[s.dev(d)] {
-		if !p.Contains(addr) {
-			continue
-		}
-		if !found || p.Bits() > bestPfx.Bits() {
-			best, bestPfx, found = sel, p, true
-		}
+	i, ok := s.nodeIdx[n]
+	if !ok || s.ribs[i].slots == nil {
+		return nil
 	}
-	return best, bestPfx, found
+	pid := s.lookup(p)
+	if pid < 0 {
+		return nil
+	}
+	if from := s.ribs[i].slots[pid].from; from != 0 {
+		return s.Graph.Nodes[from-1]
+	}
+	return nil
 }
 
 // permitted evaluates the edge's policies against the route on device dev
 // (whose ACLs and route-maps are in scope). It returns whether the route
 // passes and any tag to set.
-func (s *Sim) permitted(e *procgraph.Edge, dev *devmodel.Device, r *Route) (bool, string) {
+func (s *Sim) permitted(e *procgraph.Edge, dev *devmodel.Device, p netaddr.Prefix, tags LabelSet) (bool, string) {
 	// Distribute lists: all listed ACLs must permit the prefix.
 	for _, aclName := range e.DistributeLists {
-		if dev == nil {
-			continue
-		}
 		acl, ok := dev.AccessLists[aclName]
 		if !ok {
 			// Undefined ACL permits everything in IOS.
 			continue
 		}
-		if !acl.PermitsPrefix(r.Prefix) {
+		if !acl.PermitsPrefix(p) {
 			return false, ""
 		}
 	}
-	if e.RouteMap != "" && dev != nil {
+	if e.RouteMap != "" {
 		rm, ok := dev.RouteMaps[e.RouteMap]
 		if ok {
-			return evalRouteMap(dev, rm, r)
+			return evalRouteMap(dev, rm, p, tags)
 		}
 	}
 	return true, ""
@@ -404,9 +664,9 @@ func (s *Sim) permitted(e *procgraph.Edge, dev *devmodel.Device, r *Route) (bool
 
 // evalRouteMap evaluates the route-map against the route: first matching
 // entry decides; no match denies.
-func evalRouteMap(dev *devmodel.Device, rm *devmodel.RouteMap, r *Route) (bool, string) {
+func evalRouteMap(dev *devmodel.Device, rm *devmodel.RouteMap, p netaddr.Prefix, tags LabelSet) (bool, string) {
 	for _, ent := range rm.Entries {
-		if !entryMatches(dev, ent, r) {
+		if !entryMatches(dev, ent, p, tags) {
 			continue
 		}
 		if ent.Action == devmodel.ActionDeny {
@@ -417,56 +677,108 @@ func evalRouteMap(dev *devmodel.Device, rm *devmodel.RouteMap, r *Route) (bool, 
 	return false, ""
 }
 
-func entryMatches(dev *devmodel.Device, ent devmodel.RouteMapEntry, r *Route) bool {
+func entryMatches(dev *devmodel.Device, ent devmodel.RouteMapEntry, p netaddr.Prefix, tags LabelSet) bool {
 	if len(ent.MatchACLs) == 0 && len(ent.MatchTags) == 0 && len(ent.MatchPrefixLists) == 0 {
 		return true // match-all entry
 	}
 	for _, aclName := range ent.MatchACLs {
-		if acl, ok := dev.AccessLists[aclName]; ok && acl.PermitsPrefix(r.Prefix) {
+		if acl, ok := dev.AccessLists[aclName]; ok && acl.PermitsPrefix(p) {
 			return true
 		}
 	}
 	for _, plName := range ent.MatchPrefixLists {
-		if pl, ok := dev.PrefixLists[plName]; ok && pl.Permits(r.Prefix) {
+		if pl, ok := dev.PrefixLists[plName]; ok && pl.Permits(p) {
 			return true
 		}
 	}
 	for _, tag := range ent.MatchTags {
-		if r.Tags.Has(tag) {
+		if tags.Has(tag) {
 			return true
 		}
 	}
 	return false
 }
 
-// selectRoutes performs administrative-distance selection into each router
-// RIB.
-func (s *Sim) selectRoutes() {
-	for _, d := range s.Graph.Network.Devices {
-		table := make(map[netaddr.Prefix]Selected)
-		consider := func(r *Route, proto devmodel.Protocol, dist int) {
-			cur, ok := table[r.Prefix]
-			if !ok || dist < cur.Distance {
-				table[r.Prefix] = Selected{Route: r, Proto: proto, Distance: dist}
-			}
+// selection is the winner of administrative-distance selection for one
+// prefix on one device.
+type selection struct {
+	attr  attrID // 0 when no RIB on the device holds the prefix
+	proto devmodel.Protocol
+	dist  int
+}
+
+// selectAt runs administrative-distance selection for one prefix: the
+// local RIB's route first (connected, or static when only static), then
+// each process's in configuration order, a later one winning only on a
+// strictly lower distance.
+func (s *Sim) selectAt(dr devRIBs, pid int32) selection {
+	var best selection
+	if a := s.ribs[dr.local].attr(pid); a != 0 {
+		best = selection{attr: a, proto: devmodel.ProtoConnected}
+		if s.labels.sets[a].static {
+			best.proto, best.dist = devmodel.ProtoStatic, 1
 		}
-		for _, r := range s.ribs[s.Graph.LocalNode(d)].routes {
-			proto := devmodel.ProtoConnected
-			dist := 0
-			if r.HasOrigin("static") && !r.HasOrigin("connected") {
-				proto = devmodel.ProtoStatic
-				dist = 1
-			}
-			consider(r, proto, dist)
-		}
-		for _, p := range d.Processes {
-			dist := p.Protocol.AdminDistance()
-			for _, r := range s.ribs[s.Graph.ProcNode(p)].routes {
-				consider(r, p.Protocol, dist)
-			}
-		}
-		s.routerRIB[d] = table
 	}
+	for _, p := range dr.procs {
+		if a := s.ribs[p.node].slots[pid].attr; a != 0 && (best.attr == 0 || p.dist < best.dist) {
+			best = selection{attr: a, proto: p.proto, dist: p.dist}
+		}
+	}
+	return best
+}
+
+// holds reports whether any RIB on the device holds the prefix.
+func (s *Sim) holds(dr devRIBs, pid int32) bool {
+	if s.ribs[dr.local].attr(pid) != 0 {
+		return true
+	}
+	for _, p := range dr.procs {
+		if s.ribs[p.node].slots[pid].attr != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// route builds the Route value of a prefix's interned attributes. The
+// label sets are shared with the interner, capped so appends copy.
+func (s *Sim) route(pid int32, a attrID) Route {
+	set := s.labels.sets[a]
+	return Route{Prefix: s.prefixes[pid], Tags: set.tags, Origins: set.origins}
+}
+
+// longestHeld walks the trie along addr and returns the ID of the
+// longest prefix covering it that the device holds, or -1.
+func (s *Sim) longestHeld(dr devRIBs, addr netaddr.Addr) int32 {
+	best, n := int32(-1), int32(0)
+	for depth := 0; ; depth++ {
+		if pid := s.trie[n].pid; pid >= 0 && s.holds(dr, pid) {
+			best = pid
+		}
+		if depth == 32 {
+			return best
+		}
+		if n = s.trie[n].child[uint32(addr)>>(31-depth)&1]; n == 0 {
+			return best
+		}
+	}
+}
+
+// SelectedAt returns the winning router-RIB entry covering addr at the
+// device using longest-prefix match, with ok=false when no route covers
+// the address.
+func (s *Sim) SelectedAt(d *devmodel.Device, addr netaddr.Addr) (Selected, netaddr.Prefix, bool) {
+	dr, ok := s.devs[s.dev(d)]
+	if !ok {
+		return Selected{}, netaddr.Prefix{}, false
+	}
+	pid := s.longestHeld(dr, addr)
+	if pid < 0 {
+		return Selected{}, netaddr.Prefix{}, false
+	}
+	sel := s.selectAt(dr, pid)
+	r := s.route(pid, sel.attr)
+	return Selected{Route: &r, Proto: sel.proto, Distance: sel.dist}, r.Prefix, true
 }
 
 // ProcRoutes returns the routes in a process RIB, sorted by prefix.
@@ -475,83 +787,122 @@ func (s *Sim) ProcRoutes(p *devmodel.RoutingProcess) []*Route {
 	if n == nil {
 		return nil
 	}
-	return sortRoutes(s.ribs[n].routes)
+	slots := s.ribs[s.nodeIdx[n]].slots
+	count := 0
+	for _, sl := range slots {
+		if sl.attr != 0 {
+			count++
+		}
+	}
+	routes := make([]Route, 0, count)
+	out := make([]*Route, 0, count)
+	for pid, sl := range slots {
+		if sl.attr != 0 {
+			routes = append(routes, s.route(int32(pid), sl.attr))
+			out = append(out, &routes[len(routes)-1])
+		}
+	}
+	return out
 }
 
 // RouterRoutes returns the selected router-RIB entries of the device,
 // sorted by prefix.
 func (s *Sim) RouterRoutes(d *devmodel.Device) []Selected {
-	var out []Selected
-	for _, sel := range s.routerRIB[s.dev(d)] {
-		out = append(out, sel)
+	dr, ok := s.devs[s.dev(d)]
+	if !ok {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Route.Prefix.Less(out[j].Route.Prefix) })
+	var sels []selection
+	var pids []int32
+	for pid := range s.prefixes {
+		if sel := s.selectAt(dr, int32(pid)); sel.attr != 0 {
+			sels = append(sels, sel)
+			pids = append(pids, int32(pid))
+		}
+	}
+	if len(sels) == 0 {
+		return nil
+	}
+	routes := make([]Route, len(sels))
+	out := make([]Selected, len(sels))
+	for i, sel := range sels {
+		routes[i] = s.route(pids[i], sel.attr)
+		out[i] = Selected{Route: &routes[i], Proto: sel.proto, Distance: sel.dist}
+	}
 	return out
 }
 
 // CanReach reports whether the device's router RIB contains a route
 // covering the address.
 func (s *Sim) CanReach(d *devmodel.Device, a netaddr.Addr) bool {
-	for p := range s.routerRIB[s.dev(d)] {
-		if p.Contains(a) {
+	dr, ok := s.devs[s.dev(d)]
+	if !ok {
+		return false
+	}
+	// Walk the trie along a; the first covering prefix held answers.
+	n := int32(0)
+	for depth := 0; ; depth++ {
+		if pid := s.trie[n].pid; pid >= 0 && s.holds(dr, pid) {
 			return true
 		}
+		if depth == 32 {
+			return false
+		}
+		if n = s.trie[n].child[uint32(a)>>(31-depth)&1]; n == 0 {
+			return false
+		}
 	}
-	return false
 }
 
 // HasRoute reports whether the device's router RIB contains exactly the
 // prefix.
 func (s *Sim) HasRoute(d *devmodel.Device, p netaddr.Prefix) bool {
-	_, ok := s.routerRIB[s.dev(d)][p]
-	return ok
+	dr, ok := s.devs[s.dev(d)]
+	pid := s.lookup(p)
+	return ok && pid >= 0 && s.holds(dr, pid)
 }
 
 // ExternalRoutesAt returns the prefixes with external origin present in the
 // device's router RIB.
 func (s *Sim) ExternalRoutesAt(d *devmodel.Device) []netaddr.Prefix {
+	dr, ok := s.devs[s.dev(d)]
+	if !ok {
+		return nil
+	}
+	// Only a prefix some process RIB holds with an external origin can
+	// win selection with one; local RIBs hold connected and static routes.
+	var cand []int32
+	for _, p := range dr.procs {
+		cand = append(cand, s.ribs[p.node].ext...)
+	}
+	slices.Sort(cand)
 	var out []netaddr.Prefix
-	for p, sel := range s.routerRIB[s.dev(d)] {
-		if sel.Route.ExternalOrigin() {
-			out = append(out, p)
+	for _, pid := range slices.Compact(cand) {
+		if s.labels.sets[s.selectAt(dr, pid).attr].external {
+			out = append(out, s.prefixes[pid])
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 	return out
 }
 
 // AnnouncedToExternal returns the prefixes that reach the RIB of the given
 // external node (i.e. what the network announces to that peer), sorted.
 func (s *Sim) AnnouncedToExternal(ext *procgraph.Node) []netaddr.Prefix {
-	rb, ok := s.ribs[ext]
+	i, ok := s.nodeIdx[ext]
 	if !ok {
 		return nil
 	}
 	self := fmt.Sprintf("external:AS%d", ext.ExtAS)
 	var out []netaddr.Prefix
-	for p, r := range rb.routes {
+	for pid, sl := range s.ribs[i].slots {
 		// Exclude what the peer itself injected: keep routes carrying any
 		// origin other than the peer's own announcements.
-		announced := false
-		for _, o := range r.Origins {
+		for _, o := range s.labels.sets[sl.attr].origins {
 			if o != self {
-				announced = true
+				out = append(out, s.prefixes[pid])
 				break
 			}
 		}
-		if announced {
-			out = append(out, p)
-		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
-}
-
-func sortRoutes(m map[netaddr.Prefix]*Route) []*Route {
-	out := make([]*Route, 0, len(m))
-	for _, r := range m {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Prefix.Less(out[j].Prefix) })
 	return out
 }

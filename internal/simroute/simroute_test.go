@@ -276,6 +276,52 @@ router ospf 1
 	}
 }
 
+func TestEqualDistanceTieBreak(t *testing.T) {
+	// a learns b's LAN in two OSPF processes, tagged differently by b's
+	// two redistributions. Both win at distance 110; selection keeps the
+	// process configured first.
+	n := parseNet(t,
+		`hostname a
+interface Serial0
+ ip address 10.0.0.1 255.255.255.252
+interface Serial1
+ ip address 10.0.1.1 255.255.255.252
+router ospf 1
+ network 10.0.0.0 0.0.0.3 area 0
+router ospf 2
+ network 10.0.1.0 0.0.0.3 area 0
+`,
+		`hostname b
+interface Serial0
+ ip address 10.0.0.2 255.255.255.252
+interface Serial1
+ ip address 10.0.1.2 255.255.255.252
+interface Ethernet0
+ ip address 10.5.0.1 255.255.255.0
+router ospf 1
+ network 10.0.0.0 0.0.0.3 area 0
+ redistribute connected route-map ONE subnets
+router ospf 2
+ network 10.0.1.0 0.0.0.3 area 0
+ redistribute connected route-map TWO subnets
+route-map ONE permit 10
+ set tag 1
+route-map TWO permit 10
+ set tag 2
+`)
+	s := simFor(t, n, nil)
+	lan := netaddr.MustParsePrefix("10.5.0.0/24")
+	for _, sel := range s.RouterRoutes(n.Device("a")) {
+		if sel.Route.Prefix == lan {
+			if sel.Proto != devmodel.ProtoOSPF || !sel.Route.Tags.Has("1") || sel.Route.Tags.Has("2") {
+				t.Errorf("selected %v tags %v, want ospf 1's route (tag 1)", sel.Proto, sel.Route.Tags)
+			}
+			return
+		}
+	}
+	t.Error("a has no route to b's LAN")
+}
+
 func TestRunTerminates(t *testing.T) {
 	n, err := paperexample.Build()
 	if err != nil {
