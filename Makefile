@@ -13,7 +13,9 @@
 # tar.gz push extractor
 # (fuzzsmoke); benchsmoke runs the instrumented pipeline benches and the
 # simulator benches once so stage-instrumentation overhead and the
-# simulator's time and allocations stay visible in CI output. The
+# simulator's time and allocations stay visible in CI output, plus the
+# in-process query-stack bench (a cached hit and a miss per fleet
+# endpoint) so every CI log prints the hit path's allocations. The
 # operator-facing benchmark is not a make target: `bash perfbench/run.sh`
 # drives a real rlensd end to end (see perfbench/README.md).
 
@@ -54,3 +56,4 @@ fuzzsmoke:
 
 benchsmoke:
 	go test -run '^$$' -bench 'BenchmarkAnalyze|BenchmarkSimroute' -benchtime=1x .
+	go test -run '^$$' -bench 'BenchmarkQueryStack' -benchtime=1x ./internal/serve

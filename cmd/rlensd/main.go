@@ -54,9 +54,10 @@
 // /debug/traces/{id}; requests slower than -slow-query are logged,
 // counted, and published as query.slow events.
 //
-// Robustness model: queries run under a per-request timeout
-// (-request-timeout) and a bounded per-network concurrency limiter
-// (-max-inflight) that sheds overload with 429 + Retry-After; a
+// Robustness model: queries run under a bounded per-network
+// concurrency limiter (-max-inflight) that sheds overload with 429 +
+// Retry-After, and a query the cache cannot answer computes under a
+// per-request timeout (-request-timeout); a
 // panicking handler returns 500 and never kills the process; a failed
 // reload retries with backoff (-reload-retries, -reload-backoff) and,
 // if it still fails, that network keeps serving its last-good design

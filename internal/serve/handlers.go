@@ -50,12 +50,15 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
+// writeError answers with the error envelope, carrying the trace ID of
+// r's context.
 func writeError(w http.ResponseWriter, r *http.Request, status int, code, msg string) {
-	writeJSON(w, status, errorBody{
-		Error:   msg,
-		Code:    code,
-		TraceID: telemetry.TraceIDFrom(r.Context()),
-	})
+	writeEnvelope(w, telemetry.TraceIDFrom(r.Context()), status, code, msg)
+}
+
+// writeEnvelope answers with the error envelope for the given trace ID.
+func writeEnvelope(w http.ResponseWriter, traceID string, status int, code, msg string) {
+	writeJSON(w, status, errorBody{Error: msg, Code: code, TraceID: traceID})
 }
 
 func writeText(w http.ResponseWriter, text string) {
@@ -318,14 +321,14 @@ type summaryResponse struct {
 	LoadedAt       string   `json:"loaded_at"`
 }
 
-func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request, st *State, q Query) {
+func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request, nw *Network, st *State, q Query) {
 	d := st.Res.Design
 	if q.Format == "text" {
 		writeText(w, d.Summary())
 		return
 	}
 	writeJSON(w, http.StatusOK, summaryResponse{
-		Net:            netFrom(r.Context()).name,
+		Net:            nw.name,
 		Network:        d.Network.Name,
 		Routers:        len(d.Network.Devices),
 		Interfaces:     d.Topology.TotalInterfaces,
@@ -356,7 +359,7 @@ type pathwayHop struct {
 	Depth    int    `json:"depth"`
 }
 
-func (s *Server) handlePathway(w http.ResponseWriter, r *http.Request, st *State, q Query) {
+func (s *Server) handlePathway(w http.ResponseWriter, r *http.Request, _ *Network, st *State, q Query) {
 	g, err := st.Res.Design.Pathway(q.Router)
 	if err != nil {
 		writeError(w, r, http.StatusNotFound, codeNotFound, err.Error())
@@ -397,7 +400,7 @@ type reachResponse struct {
 	Seq              int64    `json:"seq"`
 }
 
-func (s *Server) handleReach(w http.ResponseWriter, r *http.Request, st *State, q Query) {
+func (s *Server) handleReach(w http.ResponseWriter, r *http.Request, _ *Network, st *State, q Query) {
 	an := st.Reach()
 	resp := reachResponse{Seq: st.Seq}
 	if q.HasBlocks {
@@ -429,7 +432,7 @@ type whatifResponse struct {
 // stays bounded on pathological networks.
 const maxWhatifEntries = 100
 
-func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request, st *State, q Query) {
+func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request, _ *Network, st *State, q Query) {
 	wa := st.Whatif()
 	if q.Format == "text" {
 		writeText(w, wa.Summary())

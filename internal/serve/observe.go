@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"net/http"
 	"strconv"
 	"time"
@@ -9,85 +8,19 @@ import (
 	"routinglens/internal/telemetry"
 )
 
-// withTrace is the outermost data-plane middleware: it assigns the
-// request its trace ID (honoring an inbound W3C traceparent or bare
-// X-Trace-Id so a caller's distributed trace threads through), echoes
-// the ID on the response, installs the span collector the rest of the
-// stack records into, and — once the response is done — files the
-// finished trace in the bounded trace store, offers its latency as the
-// endpoint's worst-recent exemplar, and reports it as a slow query when
-// it blew the threshold. Cache replays pass through here like any other
-// request: a replayed response still gets its own trace ID and its own
-// latency observation.
-func (s *Server) withTrace(name string, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := resolveTraceID(r)
-		col := telemetry.NewCollector()
-		ctx := telemetry.WithTraceID(telemetry.WithCollector(r.Context(), col), id)
-		hold := &netHolder{}
-		ctx = context.WithValue(ctx, netHolderKey{}, hold)
-		w.Header().Set(telemetry.TraceHeader, id)
-		sw := &telemetry.StatusWriter{ResponseWriter: w}
-		start := time.Now()
-		next.ServeHTTP(sw, r.WithContext(ctx))
-		d := time.Since(start)
-		status := sw.Status
-		if status == 0 {
-			status = http.StatusOK
+// traceRequest assigns the request its trace ID and echoes it on the
+// response as X-Trace-Id: an inbound W3C traceparent wins, then a bare
+// X-Trace-Id, then a fresh ID — so a caller's distributed trace threads
+// through whichever header it uses.
+func traceRequest(w http.ResponseWriter, r *http.Request) string {
+	id, ok := telemetry.ParseTraceparent(r.Header.Get(telemetry.TraceparentHeader))
+	if !ok {
+		if id = r.Header.Get(telemetry.TraceHeader); !telemetry.ValidTraceID(id) {
+			id = telemetry.NewTraceID()
 		}
-		slow := s.cfg.SlowQuery > 0 && d >= s.cfg.SlowQuery
-		s.traces.Add(telemetry.TraceRecord{
-			ID:       id,
-			Endpoint: name,
-			Status:   status,
-			CacheHit: sw.Header().Get("X-Cache") == "hit",
-			Start:    start,
-			Duration: d,
-			Slow:     slow,
-			Spans:    col.Records(),
-		})
-		s.traces.ObserveExemplar(name, id, d)
-		if slow {
-			nw := hold.nw
-			if nw == nil {
-				nw = s.defNet
-			}
-			s.reg.Counter(MetricSlowQueries, telemetry.L("endpoint", name)).Inc()
-			s.log.Warn("slow query",
-				"endpoint", name, "net", nw.name, "trace_id", id, "status", status,
-				"elapsed", d.Round(time.Microsecond), "threshold", s.cfg.SlowQuery)
-			nw.emit(EvtSlowQuery, slowQueryPayload{
-				Endpoint: name, TraceID: id, Status: status, DurationMS: d.Milliseconds(),
-			})
-		}
-	})
-}
-
-// resolveTraceID picks the request's trace ID: an inbound W3C
-// traceparent wins, then a bare X-Trace-Id, then a fresh ID — so a
-// caller's distributed trace threads through whichever header it uses.
-func resolveTraceID(r *http.Request) string {
-	if id, ok := telemetry.ParseTraceparent(r.Header.Get(telemetry.TraceparentHeader)); ok {
-		return id
 	}
-	if v := r.Header.Get(telemetry.TraceHeader); telemetry.ValidTraceID(v) {
-		return v
-	}
-	return telemetry.NewTraceID()
-}
-
-// withTraceID is the lightweight sibling of withTrace for routes outside
-// the data-plane stack (reload, events, watch, and the global control
-// plane): it assigns and echoes the trace ID — so every error envelope
-// carries a non-empty trace_id — without the span collector or the
-// trace-store filing, which would record connection lifetimes for
-// streams like watch rather than service time.
-func (s *Server) withTraceID(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := resolveTraceID(r)
-		w.Header().Set(telemetry.TraceHeader, id)
-		next.ServeHTTP(w, r.WithContext(telemetry.WithTraceID(r.Context(), id)))
-	})
+	w.Header().Set(telemetry.TraceHeader, id)
+	return id
 }
 
 // traceSpan is the JSON rendering of one recorded span inside a trace.

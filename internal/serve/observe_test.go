@@ -113,10 +113,9 @@ func TestTraceparentHonored(t *testing.T) {
 	}
 }
 
-// TestCacheReplayInstrumentedAndTraced is satellite 1: an X-Cache: hit
-// replay still flows through the instrument middleware — counted in the
-// request metrics — and gets its own trace ID, marked as a cache hit in
-// the trace store.
+// TestCacheReplayInstrumentedAndTraced: an X-Cache: hit replay is
+// still counted in the request metrics and gets its own trace ID,
+// marked as a cache hit in the trace store.
 func TestCacheReplayInstrumentedAndTraced(t *testing.T) {
 	s := newTestServer(t, nil)
 	mustReload(t, s)

@@ -11,7 +11,7 @@ import (
 // outside the data-plane Query parser: junk, negative, and overflow
 // values must all come back as a 400 carrying the uniform
 // {error, code, trace_id} envelope — with a non-empty trace_id even
-// though these routes skip the full tracing middleware.
+// though these routes skip the data-plane trace store.
 func TestBadQueryParamsGetEnvelope(t *testing.T) {
 	s := newTestServer(t, nil)
 	mustReload(t, s)

@@ -2,8 +2,8 @@ package serve
 
 import (
 	"container/list"
-	"fmt"
 	"net/http"
+	"strconv"
 	"sync"
 )
 
@@ -61,12 +61,20 @@ func newQCache(max int) *qcache {
 // normalized the parameters (prefixes re-rendered from their parsed
 // form, defaults applied), so two spellings of the same query — e.g.
 // reordered parameters — share an entry.
+//
+// The key reads "<seq>|<endpoint>|<format>|<router>|<src>><dst>"; it is
+// built in one buffer because every query, hit or miss, computes it.
 func qkey(seq int64, q Query) string {
-	blocks := ""
-	if q.HasBlocks {
-		blocks = q.Src.String() + ">" + q.Dst.String()
+	b := make([]byte, 0, 64)
+	b = strconv.AppendInt(b, seq, 10)
+	for _, part := range [...]string{q.Endpoint, q.Format, q.Router} {
+		b = append(append(b, '|'), part...)
 	}
-	return fmt.Sprintf("%d|%s|%s|%s|%s", seq, q.Endpoint, q.Format, q.Router, blocks)
+	b = append(b, '|')
+	if q.HasBlocks {
+		b = append(append(append(b, q.Src.String()...), '>'), q.Dst.String()...)
+	}
+	return string(b)
 }
 
 // get returns the cached response for key, promoting it on hit.

@@ -4,11 +4,12 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"time"
 
 	"routinglens/internal/telemetry"
 )
 
-// routeKind selects the middleware stack a route runs behind.
+// routeKind selects the pass a route's requests take.
 type routeKind int
 
 const (
@@ -16,9 +17,9 @@ const (
 	// instrumentation and panic recovery only, so health checks and
 	// metrics answer even when queries are saturated or timing out.
 	routeGlobal routeKind = iota
-	// routeQuery is a per-network data-plane endpoint behind the full
-	// robustness stack: tracing, per-network shedding, timeout, fault
-	// hook, query cache.
+	// routeQuery is a per-network data-plane endpoint served by
+	// queryRoute: tracing, per-network shedding, query cache, and a
+	// deadline, fault hook and handler on a miss.
 	routeQuery
 	// routeNetCtl is a per-network control endpoint (reload, events,
 	// watch): network-scoped but exempt from the query limiter and the
@@ -95,44 +96,142 @@ func RouteTable() string {
 func (s *Server) buildHandler() http.Handler {
 	mux := http.NewServeMux()
 	for _, rt := range routes {
-		mux.Handle(rt.pattern, s.stackFor(rt))
+		mux.Handle(rt.pattern, s.routeHandler(rt))
 	}
-	mux.Handle("/", s.withTraceID(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeError(w, r, http.StatusNotFound, codeNotFound,
+	mux.Handle("/", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		writeEnvelope(w, traceRequest(w, r), http.StatusNotFound, codeNotFound,
 			"no such endpoint; GET /v1/nets lists the fleet")
-	})))
+	}))
 	return mux
 }
 
-// stackFor assembles the middleware stack one route runs behind.
-func (s *Server) stackFor(rt routeSpec) http.Handler {
-	alias := rt.aliasOf != ""
+// routeHandler builds the handler one route runs behind.
+func (s *Server) routeHandler(rt routeSpec) http.Handler {
 	switch rt.kind {
 	case routeQuery:
-		return s.query(rt.endpoint, rt.method, alias, s.queryHandler(rt.endpoint))
+		return &queryRoute{
+			s:        s,
+			method:   rt.method,
+			endpoint: rt.endpoint,
+			span:     "http/" + rt.endpoint,
+			site:     "handler." + rt.endpoint,
+			link:     s.aliasLink(rt),
+			h:        s.queryHandler(rt.endpoint),
+		}
 	case routeNetCtl:
-		h := s.netCtlHandler(rt.endpoint)
-		inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			h(w, r, netFrom(r.Context()))
-		})
-		// Watch streams indefinitely; observing its latency would record
-		// connection lifetimes, not service time.
-		stack := s.withRecovery(rt.endpoint, inner)
-		stack = s.withNet(alias, rt.endpoint, rt.endpoint != "watch", stack)
-		stack = s.withMethod(rt.method, stack)
-		stack = s.withTraceID(stack)
-		return telemetry.InstrumentHandler(s.reg, rt.endpoint, stack)
+		return s.control(rt, s.netCtlHandler(rt.endpoint))
 	default:
 		h := s.globalHandler(rt.endpoint)
-		stack := s.withRecovery(rt.endpoint, h)
-		stack = s.withMethod(rt.method, stack)
-		stack = s.withTraceID(stack)
-		return telemetry.InstrumentHandler(s.reg, rt.endpoint, stack)
+		return s.control(rt, func(w http.ResponseWriter, r *http.Request, _ *Network) { h(w, r) })
+	}
+}
+
+// control serves one control-plane route in one pass: request metrics
+// and the "http/<endpoint>" span (telemetry.InstrumentHandler), the
+// trace ID, the method check, network resolution for per-network
+// routes, and panic recovery. It skips the query limiter, the deadline
+// and the trace store: health checks and recovery actions must answer
+// even when queries are saturated or timing out, reloads are
+// deliberately slow, and watch streams are deliberately long-lived.
+func (s *Server) control(rt routeSpec, h func(http.ResponseWriter, *http.Request, *Network)) http.Handler {
+	link := s.aliasLink(rt)
+	perNet := rt.kind == routeNetCtl
+	// Watch streams indefinitely; observing its latency would record
+	// connection lifetimes, not service time.
+	observe := perNet && rt.endpoint != "watch"
+	return telemetry.InstrumentHandler(s.reg, rt.endpoint, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		id := traceRequest(w, r)
+		r = r.WithContext(telemetry.WithTraceID(r.Context(), id))
+		if !allowMethod(w, r, rt.method, id) {
+			return
+		}
+		var nw *Network
+		if perNet {
+			if nw = s.resolveNet(w, r, link, id); nw == nil {
+				return
+			}
+			if observe {
+				defer s.observeNetLatency(nw, rt.endpoint, time.Now())
+			}
+		}
+		sw := &telemetry.StatusWriter{ResponseWriter: w}
+		defer func() {
+			if p := recover(); p != nil {
+				s.recovered(sw, p, rt.endpoint, nw, id)
+			}
+		}()
+		h(sw, r, nw)
+	}))
+}
+
+// observeNetLatency observes one control request's latency, measured
+// from start, in its network's per-endpoint histogram.
+func (s *Server) observeNetLatency(nw *Network, endpoint string, start time.Time) {
+	s.reg.Histogram(MetricNetLatency, nil, telemetry.L("net", nw.name), telemetry.L("endpoint", endpoint)).
+		Observe(time.Since(start).Seconds())
+}
+
+// allowMethod answers a request with the wrong method with the shared
+// 405 envelope and reports whether the request may go on.
+func allowMethod(w http.ResponseWriter, r *http.Request, method, traceID string) bool {
+	if r.Method == method {
+		return true
+	}
+	writeEnvelope(w, traceID, http.StatusMethodNotAllowed, codeMethodNotAllowed, "use "+method)
+	return false
+}
+
+// aliasLink is the Link header a deprecated alias answers with, naming
+// its canonical twin on the default network; "" for a canonical route.
+func (s *Server) aliasLink(rt routeSpec) string {
+	if rt.aliasOf == "" {
+		return ""
+	}
+	return fmt.Sprintf("</v1/nets/%s/%s>; rel=\"successor-version\"", s.defNet.name, rt.endpoint)
+}
+
+// resolveNet finds the network a request addresses, or answers it and
+// returns nil. Canonical routes carry the name as the {net} path value —
+// an unknown name is a 404 with code unknown_net. Deprecated aliases
+// (link non-empty) resolve to the default network and announce
+// themselves with a Deprecation header plus a Link to their canonical
+// twin, so existing consumers keep working while their logs tell them
+// where to move.
+func (s *Server) resolveNet(w http.ResponseWriter, r *http.Request, link, traceID string) *Network {
+	if link != "" {
+		w.Header().Set("Deprecation", "true")
+		w.Header().Set("Link", link)
+		return s.defNet
+	}
+	name := r.PathValue("net")
+	if nw := s.nets[name]; nw != nil {
+		return nw
+	}
+	writeEnvelope(w, traceID, http.StatusNotFound, codeUnknownNet,
+		fmt.Sprintf("unknown network %q; GET /v1/nets lists the fleet", name))
+	return nil
+}
+
+// recovered turns a recovered handler panic p into a 500 (unless the
+// response has already started) and a routinglens_panics_recovered_total
+// increment. The request dies; the process — and every later request,
+// on every network — does not.
+func (s *Server) recovered(w *telemetry.StatusWriter, p any, endpoint string, nw *Network, traceID string) {
+	if nw == nil {
+		nw = s.defNet
+	}
+	s.reg.Counter(MetricPanicsRecovered).Inc()
+	s.log.Error("panic recovered; request failed, server continues",
+		"endpoint", endpoint, "net", nw.name, "panic", fmt.Sprint(p))
+	nw.emit(EvtPanic, panicPayload{Endpoint: endpoint, Net: nw.name, TraceID: traceID})
+	if !w.Wrote() {
+		writeEnvelope(w, traceID, http.StatusInternalServerError, codeInternal,
+			"internal error (panic recovered)")
 	}
 }
 
 // queryHandler maps a data-plane endpoint name to its handler.
-func (s *Server) queryHandler(endpoint string) func(http.ResponseWriter, *http.Request, *State, Query) {
+func (s *Server) queryHandler(endpoint string) queryFunc {
 	switch endpoint {
 	case "summary":
 		return s.handleSummary

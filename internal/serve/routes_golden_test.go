@@ -39,7 +39,7 @@ func TestRouteTableGolden(t *testing.T) {
 
 // TestRouteTableInvariants enforces the structural rules the golden file
 // alone cannot: every alias points at an existing canonical route of the
-// same endpoint, and endpoint names match their path suffix (withNet
+// same endpoint, and endpoint names match their path suffix (aliasLink
 // builds Link headers from that equality).
 func TestRouteTableInvariants(t *testing.T) {
 	canonical := make(map[string]string) // pattern -> endpoint

@@ -8,9 +8,10 @@
 //
 //   - A panicking query handler returns 500 and increments
 //     routinglens_panics_recovered_total; it never kills the process.
-//   - Every query runs under a per-request timeout and a bounded
-//     per-network concurrency limiter that sheds load with 429 +
-//     Retry-After instead of queueing unboundedly.
+//   - Every query runs under a bounded per-network concurrency limiter
+//     that sheds load with 429 + Retry-After instead of queueing
+//     unboundedly, and every query the cache cannot answer computes
+//     under a per-request timeout.
 //   - Reload (POST /v1/nets/<net>/reload or SIGHUP) re-analyzes with
 //     retry and exponential backoff; if every attempt fails that
 //     network keeps serving its last-good design and only its
@@ -91,9 +92,11 @@ const (
 
 // Fault-injection sites the daemon exposes. Handler sites are
 // "handler.<endpoint>" (e.g. "handler.pathway"), fired before the
-// handler runs; SiteAnalyze fires at the analyzer boundary of every
-// load and reload, and "analyze.<net>" fires alongside it so a test can
-// fail one network's reloads while the rest of the fleet keeps loading.
+// handler runs — so only on a query the cache could not answer, since
+// a cache hit runs no handler. SiteAnalyze fires at the analyzer
+// boundary of every load and reload, and "analyze.<net>" fires
+// alongside it so a test can fail one network's reloads while the rest
+// of the fleet keeps loading.
 const SiteAnalyze = "analyze"
 
 // NetSource declares one served network: its name (the {net} path
@@ -160,7 +163,8 @@ type Config struct {
 	// the fleet (default 2): SIGHUP or startup against a large corpus
 	// re-analyzes a few networks at a time.
 	ReloadWorkers int
-	// RequestTimeout bounds each query's latency (default 10s).
+	// RequestTimeout bounds the latency of each query that computes its
+	// answer (default 10s); a cache hit replays without it.
 	RequestTimeout time.Duration
 	// MaxInFlight bounds concurrently executing queries per network;
 	// excess load is shed with 429 (default 64).
@@ -385,6 +389,11 @@ type Network struct {
 	shedEvents  coalescer
 	cacheEvents coalescer
 
+	// inflight, qcEntries and queries are the network's metric handles,
+	// resolved once in addNet; queries is keyed by data-plane endpoint.
+	inflight, qcEntries *telemetry.Gauge
+	queries             map[string]*queryMetrics
+
 	// activeDir is the directory reloads analyze: the source directory
 	// until a push promotes a generation, then the promoted generation
 	// (or, after a rollback, the restored one). Atomic because the
@@ -599,6 +608,20 @@ func (s *Server) addNet(src NetSource) error {
 	nw.setActiveDir(src.Dir)
 	if s.cfg.QueryCacheSize > 0 {
 		nw.qc = newQCache(s.cfg.QueryCacheSize)
+	}
+	lnet := telemetry.L("net", src.Name)
+	nw.inflight = s.reg.Gauge(MetricInFlight, lnet)
+	nw.qcEntries = s.reg.Gauge(MetricQueryCacheEntries, lnet)
+	nw.queries = make(map[string]*queryMetrics, len(queryParams))
+	for endpoint := range queryParams {
+		m := newQueryMetrics(s.reg, endpoint)
+		lep := telemetry.L("endpoint", endpoint)
+		m.net = s.reg.Histogram(MetricNetLatency, nil, lnet, lep)
+		if nw.qc != nil {
+			m.hits = s.reg.Counter(MetricQueryCacheHits, lep)
+			m.misses = s.reg.Counter(MetricQueryCacheMisses, lep)
+		}
+		nw.queries[endpoint] = m
 	}
 	s.nets[src.Name] = nw
 	s.netNames = append(s.netNames, src.Name)
@@ -853,7 +876,7 @@ func (nw *Network) reload(ctx context.Context, req reloadReq) error {
 			// (keys embed the seq); purge them rather than waiting for LRU
 			// pressure to age them out.
 			nw.qc.purge()
-			s.reg.Gauge(MetricQueryCacheEntries, lnet).Set(0)
+			nw.qcEntries.Set(0)
 			nw.quarantine.Store(nil)
 			wasDegraded := nw.degraded.Swap(false)
 			nw.lastReloadNS.Store(int64(time.Since(start)))

@@ -17,8 +17,8 @@ const (
 )
 
 // StatusWriter wraps a ResponseWriter and records what was sent, so
-// middleware layered around a handler can know whether (and how) the
-// response has already been written.
+// code around a handler can know whether (and how) the response has
+// already been written.
 type StatusWriter struct {
 	http.ResponseWriter
 	// Status is the status code sent, or 0 before the header is written.
@@ -45,26 +45,18 @@ func (w *StatusWriter) Write(p []byte) (int, error) {
 }
 
 // Unwrap exposes the wrapped writer so http.ResponseController can reach
-// optional interfaces (Flusher for the SSE watch stream) through the
-// middleware stack.
+// optional interfaces (Flusher for the SSE watch stream) through it.
 func (w *StatusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // InstrumentHandler wraps an HTTP handler with the registry's request
 // metrics and a per-request "http/<endpoint>" span. Each request gets a
-// fresh span collector on its context — unless an outer middleware (the
-// tracing layer) already installed one, which is then reused so the
-// request's spans land in its trace. A resident server must not
+// fresh span collector on its context: a resident server must not
 // accumulate span records for the life of the process, so only the
-// bounded registry (counter + latency histogram) and the bounded trace
-// store outlive the request.
+// bounded registry (counter + latency histogram) outlives the request.
 func InstrumentHandler(reg *Registry, endpoint string, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		sw := &StatusWriter{ResponseWriter: w}
-		ctx := r.Context()
-		if CollectorFromContext(ctx) == nil {
-			ctx = WithCollector(ctx, NewCollector())
-		}
-		ctx = WithRegistry(ctx, reg)
+		ctx := WithRegistry(WithCollector(r.Context(), NewCollector()), reg)
 		ctx, span := StartSpan(ctx, "http/"+endpoint)
 		start := time.Now()
 		defer func() {

@@ -84,14 +84,6 @@ func CollectorFrom(ctx context.Context) *Collector {
 	return DefaultCollector
 }
 
-// CollectorFromContext returns the context's collector, or nil when none
-// was installed — middleware uses it to avoid shadowing an outer
-// layer's collector with a fresh one.
-func CollectorFromContext(ctx context.Context) *Collector {
-	c, _ := ctx.Value(collectorKey{}).(*Collector)
-	return c
-}
-
 // WithRegistry returns a context routing metrics to r.
 func WithRegistry(ctx context.Context, r *Registry) context.Context {
 	return context.WithValue(ctx, registryKey{}, r)
@@ -126,6 +118,46 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	return context.WithValue(ctx, spanKey{}, s), s
 }
 
+// StartRequestSpan opens the root span of one served request at start,
+// recording into col. Unlike StartSpan it observes no histogram when it
+// ends: the request path observes the duration End returns into
+// handles it resolved once. RequestContext puts it in a context, so the
+// spans a handler opens nest under it.
+func StartRequestSpan(name string, col *Collector, start time.Time) *Span {
+	return &Span{name: name, start: start, col: col}
+}
+
+// requestContext carries one served request's trace ID, registry and
+// root span in a single context value.
+type requestContext struct {
+	context.Context
+	traceID string
+	reg     *Registry
+	span    *Span
+}
+
+func (c *requestContext) Value(key any) any {
+	switch key.(type) {
+	case traceIDKey:
+		return c.traceID
+	case registryKey:
+		return c.reg
+	case spanKey:
+		return c.span
+	case collectorKey:
+		return c.span.col
+	}
+	return c.Context.Value(key)
+}
+
+// RequestContext derives, in one allocation, the context a request's
+// handler runs under: TraceIDFrom, RegistryFrom and CollectorFrom answer
+// from it, and spans started from it nest under span, the request's
+// root span from StartRequestSpan.
+func RequestContext(parent context.Context, traceID string, reg *Registry, span *Span) context.Context {
+	return &requestContext{Context: parent, traceID: traceID, reg: reg, span: span}
+}
+
 // SetName renames the span before End; callers use it when the precise
 // name (an experiment id, a file name) is only known after the work ran.
 func (s *Span) SetName(name string) { s.name = name }
@@ -146,8 +178,9 @@ func (s *Span) Path() string {
 }
 
 // End finishes the span: it records the duration in the collector and
-// the stage-latency histogram. End is idempotent; only the first call
-// records.
+// the stage-latency histogram (a request span from StartRequestSpan
+// leaves the histogram to its caller). End is idempotent; only the
+// first call records.
 func (s *Span) End() time.Duration {
 	d := time.Since(s.start)
 	if s.ended {
@@ -167,6 +200,8 @@ func (s *Span) End() time.Duration {
 	s.col.mu.Lock()
 	s.col.recs = append(s.col.recs, rec)
 	s.col.mu.Unlock()
-	s.reg.Histogram(StageSecondsMetric, nil, L("stage", s.name)).Observe(d.Seconds())
+	if s.reg != nil {
+		s.reg.Histogram(StageSecondsMetric, nil, L("stage", s.name)).Observe(d.Seconds())
+	}
 	return d
 }

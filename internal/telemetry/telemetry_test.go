@@ -211,6 +211,33 @@ func TestSpanObservesStageHistogram(t *testing.T) {
 	}
 }
 
+// TestRequestContext: a handler running under RequestContext sees the
+// request's trace ID and registry, and its spans nest under the request
+// span in the request's collector; the request span itself observes no
+// histogram (its caller does).
+func TestRequestContext(t *testing.T) {
+	reg := NewRegistry()
+	col := NewCollector()
+	root := StartRequestSpan("http/x", col, time.Now())
+	ctx := RequestContext(context.Background(), "trace-1", reg, root)
+	if TraceIDFrom(ctx) != "trace-1" || RegistryFrom(ctx) != reg || CollectorFrom(ctx) != col {
+		t.Fatal("RequestContext does not answer for the trace ID, registry and collector")
+	}
+	_, child := StartSpan(ctx, "child")
+	child.End()
+	root.End()
+	recs := col.Records()
+	if len(recs) != 2 || recs[0].Path != "http/x/child" || recs[0].Depth != 1 || recs[1].Path != "http/x" {
+		t.Fatalf("records = %+v, want http/x/child (depth 1) then http/x", recs)
+	}
+	if n := reg.Histogram(StageSecondsMetric, nil, L("stage", "child")).Count(); n != 1 {
+		t.Errorf("child stage count = %d, want 1", n)
+	}
+	if n := reg.Histogram(StageSecondsMetric, nil, L("stage", "http/x")).Count(); n != 0 {
+		t.Errorf("request span observed its own stage histogram %d times, want 0", n)
+	}
+}
+
 func TestSpanSetName(t *testing.T) {
 	col := NewCollector()
 	ctx := WithCollector(context.Background(), col)

@@ -68,11 +68,12 @@ type Analysis struct {
 // Analyze computes the survivability report from the instance model.
 func Analyze(m *instance.Model) *Analysis {
 	a := &Analysis{}
+	edges := adjacencyEdges(m)
 	for _, in := range m.Instances {
 		if in.Size() < 2 {
 			continue
 		}
-		g := adjacencyOf(m.Graph, in)
+		g := adjacencyOf(in, edges[in])
 		a.RouterFailures = append(a.RouterFailures, articulations(in, g)...)
 		a.LinkFailures = append(a.LinkFailures, bridges(in, g)...)
 	}
@@ -115,11 +116,12 @@ type Expansion struct {
 func AnalyzeExpanded(m *instance.Model, ex Expansion) *Analysis {
 	a := &Analysis{}
 	multi := func(d *devmodel.Device) bool { return len(ex.Members(d)) > 1 }
+	edges := adjacencyEdges(m)
 	for _, in := range m.Instances {
 		if in.Size() < 2 {
 			continue
 		}
-		g := adjacencyOf(m.Graph, in)
+		g := adjacencyOf(in, edges[in])
 		fi := ex.FullInstance(in)
 		for _, rf := range articulations(in, g) {
 			if multi(rf.Router) {
@@ -163,13 +165,28 @@ type adjGraph struct {
 	links [][]netaddr.Prefix
 }
 
+// adjacencyEdges buckets the process graph's adjacency edges by the
+// instance holding both endpoints, in one pass over the edges and in
+// their graph order. An edge between two instances, or touching a node
+// outside every instance, is in no bucket.
+func adjacencyEdges(m *instance.Model) map[*instance.Instance][]*procgraph.Edge {
+	buckets := make(map[*instance.Instance][]*procgraph.Edge)
+	for _, e := range m.Graph.Edges {
+		if e.Kind != procgraph.Adjacency {
+			continue
+		}
+		if in := m.Of(e.From); in != nil && in == m.Of(e.To) {
+			buckets[in] = append(buckets[in], e)
+		}
+	}
+	return buckets
+}
+
 // adjacencyOf builds the device-level adjacency graph of one instance from
-// the process graph's adjacency edges.
-func adjacencyOf(g *procgraph.Graph, in *instance.Instance) *adjGraph {
+// its bucket of adjacency edges (adjacencyEdges).
+func adjacencyOf(in *instance.Instance, edges []*procgraph.Edge) *adjGraph {
 	ag := &adjGraph{index: make(map[*devmodel.Device]int)}
-	member := make(map[*procgraph.Node]bool, len(in.Nodes))
 	for _, n := range in.Nodes {
-		member[n] = true
 		if _, ok := ag.index[n.Device]; !ok {
 			ag.index[n.Device] = len(ag.nodes)
 			ag.nodes = append(ag.nodes, n.Device)
@@ -185,10 +202,7 @@ func adjacencyOf(g *procgraph.Graph, in *instance.Instance) *adjGraph {
 		link netaddr.Prefix
 	}
 	seen := make(map[edgeKey]bool)
-	for _, e := range g.Edges {
-		if e.Kind != procgraph.Adjacency || !member[e.From] || !member[e.To] {
-			continue
-		}
+	for _, e := range edges {
 		i, j := ag.index[e.From.Device], ag.index[e.To.Device]
 		if i == j {
 			continue
