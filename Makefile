@@ -1,6 +1,10 @@
 # Verification tiers. tier1 is the gate every PR must keep green — build,
-# the full test suite, and the metriclint static check (metric naming
-# rules plus exactly-once event-type registration); tier2
+# the full test suite, the metriclint static check (metric naming rules
+# plus exactly-once event-type registration), and a build and vet of the
+# perfbench module, which imports internal packages (core, compress,
+# simroute, reach, whatif, pathway, parsecache, snapshot, telemetry)
+# from its layers replay, so a change that breaks it fails here rather
+# than on the next traced benchmark run; tier2
 # adds vet, the race detector over every package — that includes the
 # worker pools in core/experiments, the telemetry layer they share,
 # instance.Model's edge indexes under concurrent readers, and
@@ -26,6 +30,7 @@ all: tier1 tier2 benchsmoke
 tier1:
 	go build ./... && go test ./...
 	go run ./tools/metriclint
+	go -C perfbench build ./... && go -C perfbench vet ./...
 
 tier2: fuzzsmoke
 	go vet ./... && go test -race ./...

@@ -214,6 +214,27 @@ func BenchmarkSimrouteNet5(b *testing.B) {
 	}
 }
 
+// BenchmarkFullReach is the 10k-router scale check of the reach path
+// rlensd serves: the cold analysis (a default route injected at every
+// external peer, then the two network-wide views) over the full
+// instance graph of a provider-tier network. It is slow; run it alone:
+//
+//	go test -run '^$' -bench FullReach -benchtime 3x .
+func BenchmarkFullReach(b *testing.B) {
+	g := netgen.GenerateProvider(2004, 10000)
+	design, _, err := core.NewAnalyzer().AnalyzeConfigs(context.Background(), g.Name, g.Configs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ext := []simroute.ExternalRoute{{Prefix: netaddr.PrefixFrom(0, 0)}}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := reach.Analyze(design.Instances, design.AddressSpace, ext)
+		a.HasDefaultRoute()
+		a.AdmittedExternalRoutes()
+	}
+}
+
 // BenchmarkReachNet15 measures the full reachability analysis.
 func BenchmarkReachNet15(b *testing.B) {
 	na := workspace(b).ByName("net15")

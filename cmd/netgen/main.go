@@ -9,14 +9,16 @@
 //	netgen -out dir/ -provider 10000   # one provider-scale pod fabric
 //
 // -net restricts output to one network; -provider N replaces the corpus
-// with a single provider-scale network of ~N routers (the
-// internal/compress benchmark subject); -anon additionally anonymizes
+// with a single provider-scale network of ~N routers (the subject of the
+// 10k-router scale benchmarks); -anon additionally anonymizes
 // every file (comments stripped, names hashed, addresses remapped
 // prefix-preservingly) and names files config1, config2, ... as in the
 // paper's methodology. -j bounds the worker pool writing the networks
 // (0, the default, uses GOMAXPROCS); the files and the printed summary
-// are identical whatever N. A network that cannot be translated with
-// -dialect junos is skipped with a notice; -fail-fast aborts instead.
+// are identical whatever N. A network that -dialect junos cannot
+// translate without losing routes (EIGRP, a router with more than one
+// OSPF process, or BGP network statements; see internal/junosemit) is
+// skipped with a notice; -fail-fast aborts instead.
 //
 // Observability: -v/-vv, -log-format, -metrics, -pprof, and -timeout
 // behave as in cmd/rdesign; a timed-out or interrupted run stops at the
@@ -49,7 +51,7 @@ func main() {
 	provider := flag.Int("provider", 0, "instead of the corpus, write one provider-scale pod fabric with this many routers (rounded to whole pods)")
 	anon := flag.Bool("anon", false, "anonymize the emitted configurations")
 	key := flag.String("key", "netgen-default-key", "anonymization secret (with -anon)")
-	dialect := flag.String("dialect", "ios", "emit configurations as 'ios' or 'junos' (junos requires EIGRP-free networks)")
+	dialect := flag.String("dialect", "ios", "emit configurations as 'ios' or 'junos' (junos skips networks running EIGRP, several OSPF processes on one router, or BGP network statements)")
 	tele.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 

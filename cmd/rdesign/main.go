@@ -16,8 +16,6 @@
 //	-suspects           probable missing routers
 //	-audit              best-common-practice findings (Section 8.1)
 //	-whatif             survivability / failure analysis (Section 8.1)
-//	-compress           behavior-preserving quotient: the design's router
-//	                    equivalence classes and compression ratio
 //	-monitors           route-monitor placement suggestion
 //	-diff OLDDIR        longitudinal diff against an older snapshot
 //	-dot KIND           Graphviz DOT (instances | processes | a router name)
@@ -72,7 +70,6 @@ func main() {
 	suspects := flag.Bool("suspects", false, "print suspected missing routers")
 	doAudit := flag.Bool("audit", false, "print best-common-practice findings")
 	doWhatif := flag.Bool("whatif", false, "print the survivability (failure) analysis")
-	doCompress := flag.Bool("compress", false, "print the design's behavior-preserving quotient: router equivalence classes and compression ratio")
 	diffDir := flag.String("diff", "", "diff against an older snapshot in this directory")
 	dotKind := flag.String("dot", "", "emit Graphviz DOT: 'instances', 'processes', or a router name for its pathway")
 	influence := flag.String("influence", "", "print the forward influence (blast radius) of this router")
@@ -192,32 +189,6 @@ func main() {
 		}
 	case *doWhatif:
 		fmt.Print(design.Survivability().Summary())
-	case *doCompress:
-		q := design.Compress()
-		st := q.Stats()
-		if st.Identity {
-			fmt.Printf("quotient: identity — no two of the %d routers are behaviorally interchangeable\n", st.Routers)
-			break
-		}
-		fmt.Printf("quotient: %d routers -> %d classes (%.2fx)\n", st.Routers, st.Classes, st.Ratio)
-		singletons := 0
-		for _, c := range q.Classes {
-			if len(c.Members) < 2 {
-				singletons++
-				continue
-			}
-			names := make([]string, 0, len(c.Members))
-			for _, m := range c.Members {
-				names = append(names, m.Hostname)
-			}
-			if len(names) > 8 {
-				names = append(names[:8], fmt.Sprintf("…+%d more", len(c.Members)-8))
-			}
-			fmt.Printf("  class %s: %d routers (%s)\n", c.Rep.Hostname, len(c.Members), strings.Join(names, " "))
-		}
-		if singletons > 0 {
-			fmt.Printf("  %d router(s) are singleton classes\n", singletons)
-		}
 	case *pathwayHost != "":
 		pw, err := design.Pathway(*pathwayHost)
 		if err != nil {

@@ -6,12 +6,13 @@
 //
 // Usage:
 //
-//	rlensd -dir path/to/configs [-addr :7311] [flags]         # one network
-//	rlensd -corpus path/to/corpus [-default-net NAME] [flags] # a fleet
+//	rlensd -dir path/to/configs [-addr :7311] [flags]  # one network
+//	rlensd -corpus path/to/corpus [flags]              # a fleet
 //
 // A corpus root is one subdirectory per network, one configuration file
 // per router — the layout `netgen -out` writes. Every subdirectory
-// becomes a served network named after it.
+// becomes a served network named after it; -dir serves one network
+// named after the directory's base name.
 //
 // Endpoints (NET is a network name; GET /v1/nets lists them):
 //
@@ -32,18 +33,16 @@
 //	GET  /v1/nets/NET/quarantine    the retained admission-rejection record, if any
 //	GET  /v1/nets/NET/events        design-drift event page (?since=CURSOR&limit=N)
 //	GET  /v1/nets/NET/watch         live design-drift stream (SSE; resumes via Last-Event-ID)
-//	GET  /v1/version                build identity and the serving design generation
+//	GET  /v1/version                build identity and the number of served networks
 //	GET  /healthz                   process liveness (always 200 while up)
 //	GET  /readyz                    fleet readiness: 200 while any network serves
 //	                                fresh; ?net=NAME probes one network
 //	GET  /metrics                   Prometheus text metrics (per-net labels)
 //	GET  /debug/traces              recent request traces; /debug/traces/{id} for one
 //
-// The pre-fleet single-network paths (/v1/summary, /v1/pathway,
-// /v1/reach, /v1/whatif, /v1/reload, /v1/events, /v1/watch) still
-// answer, resolving to the default network (-default-net; else the sole
-// or first network) and carrying a "Deprecation: true" header plus a
-// Link to their canonical /v1/nets/... twin.
+// Every per-network path names its network: the pre-fleet
+// single-network paths (/v1/summary, /v1/reload, ...) are gone and
+// answer 404 not_found like any other unknown path.
 //
 // Observability: every design-changing reload is diffed against the
 // previous generation and published as structured events (one ring per
@@ -78,15 +77,6 @@
 // with a response LRU (-query-cache, entries; negative disables) that a
 // reload swap invalidates wholesale. Reachability is precomputed at
 // load time, before the new generation is published.
-//
-// Compression: -compress quotients every loaded design at swap time
-// (internal/compress): behaviorally identical routers collapse into
-// equivalence classes, reach and what-if queries simulate the reduced
-// class graph, and answers expand back to concrete routers —
-// byte-identical to the full analysis, interactive at provider scale.
-// The quotient's shape is exported per network as
-// routinglens_compress_{routers,classes,ratio} and its cost as
-// routinglens_compress_build_seconds.
 //
 // Continuous ingestion: -watch-configs polls every directory-backed
 // network's config source on a jittered interval and reloads on change;
@@ -123,6 +113,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -137,7 +128,6 @@ import (
 func main() {
 	dir := flag.String("dir", "", "directory of one network's router configuration files")
 	corpus := flag.String("corpus", "", "corpus root: one subdirectory per network (overrides -dir)")
-	defaultNet := flag.String("default-net", "", "network the deprecated single-network endpoints resolve to (default: sole or first network)")
 	addr := flag.String("addr", ":7311", "listen address")
 	reqTimeout := flag.Duration("request-timeout", 10*time.Second, "per-request deadline; slower queries return 504")
 	maxInflight := flag.Int("max-inflight", 64, "per-network concurrent query bound; excess load is shed with 429")
@@ -158,7 +148,6 @@ func main() {
 	admitMinRouters := flag.Int("admit-min-routers", 1, "reject a reload whose design has fewer routers than this floor (0 disables)")
 	admitMaxErrDiags := flag.Int("admit-max-error-diags", -1, "reject a reload whose analysis produced more than this many error-severity diagnostics (negative disables; 0 tolerates none)")
 	admitMaxCompartmentDelta := flag.Int("admit-max-compartment-delta", -1, "reject a reload that adds or removes more than this many routing compartments (negative disables; 0 tolerates none)")
-	compress := flag.Bool("compress", false, "quotient every loaded design at swap time and answer reach/what-if queries on the reduced class graph (answers are byte-identical to the full analysis)")
 	ingestRetain := flag.Int("ingest-retain", 1, "displaced pushed-config generations each network retains on disk as rollback targets")
 	faults := flag.String("faults", "", "arm fault injection (testing): 'SITE:KIND[:opts][;...]', e.g. 'analyze.net3:error'")
 	tele := telemetry.NewCLI("rlensd")
@@ -199,10 +188,8 @@ func main() {
 	if *parseCache > 0 {
 		pc = parsecache.New(*parseCache, 0)
 	}
-	s, err := serve.New(serve.Config{
-		Dir:        *dir,
-		CorpusDir:  *corpus,
-		DefaultNet: *defaultNet,
+	cfg := serve.Config{
+		CorpusDir: *corpus,
 		AnalyzerOptions: []core.AnalyzerOption{
 			core.WithParallelism(tele.Parallelism()),
 			core.WithFailFast(tele.FailFast),
@@ -216,7 +203,6 @@ func main() {
 			MaxErrorDiags:       *admitMaxErrDiags,
 			MaxCompartmentDelta: *admitMaxCompartmentDelta,
 		},
-		Compress:        *compress,
 		IngestDir:       *ingestDir,
 		IngestRetain:    *ingestRetain,
 		WatchInterval:   *watchConfigs,
@@ -233,7 +219,11 @@ func main() {
 		SlowQuery:       *slowQuery,
 		WatchHeartbeat:  *watchHeartbeat,
 		Faults:          injector,
-	})
+	}
+	if *corpus == "" {
+		cfg.Nets = []serve.NetSource{{Name: filepath.Base(filepath.Clean(*dir)), Dir: *dir}}
+	}
+	s, err := serve.New(cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rlensd: %v\n", err)
 		exit(2)

@@ -8,12 +8,10 @@ import (
 	"routinglens/internal/core"
 	"routinglens/internal/netaddr"
 	"routinglens/internal/netgen"
-	"routinglens/internal/reach"
 	"routinglens/internal/simroute"
 )
 
-// BenchmarkQuotientBuild times Compute on a provider-tier network — the
-// once-per-generation cost rlensd -compress pays at swap time, on the
+// BenchmarkQuotientBuild times Compute on a provider-tier network, the
 // 10k-router fabric (perfbench's compress.build.s row times it on net5):
 //
 //	go test -run '^$' -bench QuotientBuild -benchtime 5x ./internal/compress
@@ -34,15 +32,16 @@ func BenchmarkQuotientBuild(b *testing.B) {
 
 // BenchmarkQuotientReach times the cold reachability analysis on an
 // already-built quotient: reduced-graph simulation plus the forced
-// device-walk views — the per-generation reach precompute rlensd
-// -compress pays after the quotient build.
+// device-walk views. Its full-graph baseline is BenchmarkFullReach in
+// the module root's bench_test.go; the ratio between the two is the
+// quotient's cold-reach speedup, before the build's cost.
 func BenchmarkQuotientReach(b *testing.B) {
 	g := netgen.GenerateProvider(2004, 10000)
 	design, _, err := core.NewAnalyzer().AnalyzeConfigs(context.Background(), g.Name, g.Configs)
 	if err != nil {
 		b.Fatal(err)
 	}
-	q := design.Compress()
+	q := compress.Compute(design.Instances)
 	if q.Identity {
 		b.Fatal("provider quotient unexpectedly identity")
 	}
@@ -50,24 +49,6 @@ func BenchmarkQuotientReach(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a := q.Reach(design.AddressSpace, ext)
-		a.HasDefaultRoute()
-		a.AdmittedExternalRoutes()
-	}
-}
-
-// BenchmarkFullReach is the uncompressed baseline for
-// BenchmarkQuotientReach: the same cold analysis over the full instance
-// graph. The ratio between the two is the quotient's cold-reach speedup.
-func BenchmarkFullReach(b *testing.B) {
-	g := netgen.GenerateProvider(2004, 10000)
-	design, _, err := core.NewAnalyzer().AnalyzeConfigs(context.Background(), g.Name, g.Configs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ext := []simroute.ExternalRoute{{Prefix: netaddr.PrefixFrom(0, 0)}}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := reach.Analyze(design.Instances, design.AddressSpace, ext)
 		a.HasDefaultRoute()
 		a.AdmittedExternalRoutes()
 	}

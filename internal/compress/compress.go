@@ -38,6 +38,14 @@
 // phantom external peers). Finally the reduced model's instance
 // structure is verified 1:1 against the full model; any mismatch falls
 // back to the identity quotient, which is trivially exact.
+//
+// Nothing serves the quotient any more: rlensd and rdesign answer on the
+// full design, which has been as fast or faster on every served row
+// since the simulator's exact-order rewrite and the one-pass what-if
+// (on net5 the quotient's reach takes as long as full simulation plus
+// reach views; at 10k routers its build alone costs more than full
+// reach or full what-if). The package remains only as the subject of
+// perfbench's compress.* layer rows and of its own equivalence tests.
 package compress
 
 import (
@@ -54,20 +62,6 @@ import (
 	"routinglens/internal/netaddr"
 	"routinglens/internal/procgraph"
 	"routinglens/internal/topology"
-)
-
-// Metric names exported by consumers that build quotients per design
-// generation (cmd/rdesign, internal/serve).
-const (
-	// MetricClasses is the number of equivalence classes in the quotient,
-	// by net.
-	MetricClasses = "routinglens_compress_classes"
-	// MetricRouters is the number of routers the quotient covers, by net.
-	MetricRouters = "routinglens_compress_routers"
-	// MetricRatio is routers/classes — the model-size reduction, by net.
-	MetricRatio = "routinglens_compress_ratio"
-	// MetricBuildSeconds is how long the quotient build took, by net.
-	MetricBuildSeconds = "routinglens_compress_build_seconds"
 )
 
 // Class is one equivalence class of behaviorally identical routers.

@@ -13,7 +13,6 @@ import (
 	"routinglens/internal/addrspace"
 	"routinglens/internal/audit"
 	"routinglens/internal/classify"
-	"routinglens/internal/compress"
 	"routinglens/internal/designdiff"
 	"routinglens/internal/devmodel"
 	"routinglens/internal/dot"
@@ -124,16 +123,6 @@ func (d *Design) Pathway(hostname string) (*pathway.Graph, error) {
 // route injections and returns the reachability analysis.
 func (d *Design) Reachability(external []simroute.ExternalRoute) *reach.Analysis {
 	return reach.Analyze(d.Instances, d.AddressSpace, external)
-}
-
-// Compress computes the behavior-preserving quotient of the design:
-// routers that are exactly symmetric (same policy fingerprint, instance
-// membership, and adjacency signature) collapse into classes, so
-// Quotient.Reach and Quotient.Whatif answer full-network queries from
-// the reduced model. Designs with no symmetry yield the identity
-// quotient, which simply delegates to the full analyses.
-func (d *Design) Compress() *compress.Quotient {
-	return compress.Compute(d.Instances)
 }
 
 // Summary renders a human-readable overview of the design: the routing

@@ -2,7 +2,7 @@ package designdiff
 
 // Delta is the structured, JSON-ready form of a Diff: the shape the
 // serve layer publishes as design-drift events and streams over
-// /v1/watch. Where Diff holds live *instance.Instance pointers into two
+// /v1/nets/<net>/watch. Where Diff holds live *instance.Instance pointers into two
 // analysis generations, Delta is self-contained — labels, counts, and
 // hostnames only — so an event outlives both generations and can be
 // replayed from the ring buffer long after they are gone.

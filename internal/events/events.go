@@ -22,7 +22,7 @@
 //
 // The package is the publication point rlensd's swap hook, load
 // shedding, panic recovery, and slow-query paths feed, and the surface
-// /v1/events and /v1/watch read.
+// /v1/nets/<net>/events and /v1/nets/<net>/watch read.
 package events
 
 import (
@@ -81,7 +81,7 @@ func MustType(s string) Type {
 	return t
 }
 
-// Types returns every registered event type, sorted; /v1/events exposes
+// Types returns every registered event type, sorted; the events endpoint exposes
 // it so consumers can discover the vocabulary.
 func Types() []Type {
 	typesMu.Lock()

@@ -10,9 +10,13 @@
 // The emitter covers the model subset the corpus generators produce:
 // interfaces with addresses and packet-filter bindings, OSPF/RIP coverage,
 // BGP neighbors with policies, static routes, access lists, and
-// route-maps. Constructs without a JunOS analogue in this subset (EIGRP,
-// which is Cisco-proprietary) are rejected with an error rather than
-// silently dropped.
+// route-maps. A device the emitter cannot render without losing routes
+// is rejected with an error rather than silently trimmed: one running
+// EIGRP (Cisco-proprietary, no JunOS analogue), one running more than
+// one OSPF process (the emitter writes a single OSPF instance, which
+// would drop the mutual redistribution between the processes), and one
+// whose BGP process originates prefixes with network statements (never
+// emitted).
 package junosemit
 
 import (
@@ -24,13 +28,22 @@ import (
 	"routinglens/internal/netaddr"
 )
 
-// Emit renders the device as a JunOS configuration.
+// Emit renders the device as a JunOS configuration, or returns an error
+// for a device it would render lossily (see the package comment).
 func Emit(d *devmodel.Device) (string, error) {
 	for _, p := range d.Processes {
 		switch p.Protocol {
 		case devmodel.ProtoEIGRP, devmodel.ProtoIGRP:
 			return "", fmt.Errorf("junosemit: %s runs %s, which has no JunOS analogue", d.Hostname, p.Protocol)
+		case devmodel.ProtoBGP:
+			if len(p.Networks) > 0 {
+				return "", fmt.Errorf("junosemit: %s originates %d prefix(es) with BGP network statements, which the emitter does not render",
+					d.Hostname, len(p.Networks))
+			}
 		}
+	}
+	if n := len(d.ProcessesOf(devmodel.ProtoOSPF)); n > 1 {
+		return "", fmt.Errorf("junosemit: %s runs %d OSPF processes; the emitter renders one OSPF instance", d.Hostname, n)
 	}
 	e := &emitter{dev: d}
 	e.f("system {\n    host-name %s;\n}\n", d.Hostname)
@@ -173,11 +186,6 @@ func (e *emitter) protocols() {
 	bgp := e.dev.ProcessesOf(devmodel.ProtoBGP)
 	if len(ospf) == 0 && len(rip) == 0 && len(bgp) == 0 {
 		return
-	}
-	if len(ospf) > 1 {
-		// JunOS supports one OSPF instance per routing instance; the corpus
-		// subset we emit uses one.
-		ospf = ospf[:1]
 	}
 	e.f("protocols {\n")
 	for _, p := range ospf {

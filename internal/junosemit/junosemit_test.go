@@ -80,6 +80,50 @@ func TestEIGRPRejected(t *testing.T) {
 	}
 }
 
+// TestMultiOSPFRejected: a second OSPF process (a border router
+// redistributing between two IGP instances) would be dropped by a
+// single-instance rendering, so the device is refused.
+func TestMultiOSPFRejected(t *testing.T) {
+	d := parseIOS(t, `hostname border
+interface Ethernet0
+ ip address 10.0.0.1 255.255.255.0
+interface Ethernet1
+ ip address 10.1.0.1 255.255.255.0
+router ospf 1
+ network 10.0.0.0 0.0.0.255 area 0
+ redistribute ospf 2 subnets
+router ospf 2
+ network 10.1.0.0 0.0.0.255 area 0
+ redistribute ospf 1 subnets
+`)
+	_, err := Emit(d)
+	if err == nil || !strings.Contains(err.Error(), "2 OSPF processes") {
+		t.Errorf("two-OSPF device: err = %v, want a refusal naming 2 OSPF processes", err)
+	}
+	// One OSPF process still emits.
+	one := parseIOS(t, "hostname r\ninterface Ethernet0\n ip address 10.0.0.1 255.255.255.0\nrouter ospf 1\n network 10.0.0.0 0.0.0.255 area 0\n")
+	if _, err := Emit(one); err != nil {
+		t.Errorf("one-OSPF device: %v", err)
+	}
+}
+
+// TestBGPNetworkRejected: a BGP network statement originates a prefix
+// the emitter never renders, so the device is refused rather than
+// emitted without the route.
+func TestBGPNetworkRejected(t *testing.T) {
+	d := parseIOS(t, `hostname edge
+interface Serial0
+ ip address 10.0.0.1 255.255.255.252
+router bgp 65001
+ network 10.0.0.0 mask 255.192.0.0
+ neighbor 10.0.0.2 remote-as 701
+`)
+	_, err := Emit(d)
+	if err == nil || !strings.Contains(err.Error(), "BGP network statements") {
+		t.Errorf("BGP network device: err = %v, want a refusal naming BGP network statements", err)
+	}
+}
+
 // The dialect round trip: parse a whole generated enterprise (IOS), emit
 // every router as JunOS, re-parse, and compare the extracted routing
 // designs. Instance structure, external peers, and filter presence must

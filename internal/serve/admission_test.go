@@ -23,21 +23,21 @@ func TestCompartmentDeltaGuardrail(t *testing.T) {
 
 	an := core.NewAnalyzer()
 	s := newTestServer(t, func(c *Config) {
-		c.Dir = ""
-		c.Load = func(ctx context.Context) (*core.Result, error) {
+		c.Nets = []NetSource{{Name: "mem", Load: func(ctx context.Context) (*core.Result, error) {
 			return an.AnalyzeConfigsResult(ctx, "mem", configs)
-		}
+		}}}
 		c.Admission = &AdmissionPolicy{MaxErrorDiags: -1, MaxCompartmentDelta: 0}
 	})
 	mustReload(t, s)
-	serving := s.State()
+	nw := s.Net("mem")
+	serving := nw.State()
 
 	// The RIP routers lose their routing stanza: same router count, one
 	// compartment dissolved.
 	configs["c.cfg"] = "hostname c\ninterface Ethernet0\n ip address 10.1.0.1 255.255.255.252\n"
 	configs["d.cfg"] = "hostname d\ninterface Ethernet0\n ip address 10.1.0.2 255.255.255.252\n"
 
-	err := s.Reload(context.Background())
+	err := nw.Reload(context.Background())
 	var admErr *AdmissionError
 	if !errors.As(err, &admErr) {
 		t.Fatalf("reload err = %v, want *AdmissionError", err)
@@ -51,13 +51,13 @@ func TestCompartmentDeltaGuardrail(t *testing.T) {
 	if !found {
 		t.Errorf("rejection reasons %v lack the compartment verdict", admErr.Reasons)
 	}
-	if s.State() != serving {
+	if nw.State() != serving {
 		t.Error("rejected candidate displaced the serving generation")
 	}
-	if s.Degraded() {
+	if nw.Degraded() {
 		t.Error("admission rejection must not degrade the network")
 	}
-	rec := s.DefaultNet().Quarantine()
+	rec := nw.Quarantine()
 	if rec == nil {
 		t.Fatal("no quarantine record after compartment rejection")
 	}

@@ -25,7 +25,6 @@ import (
 func newFleetServer(t *testing.T, mutate func(*Config)) *Server {
 	t.Helper()
 	s := newTestServer(t, func(c *Config) {
-		c.Dir = ""
 		c.Nets = []NetSource{
 			{Name: "alpha", Dir: exampleDir},
 			{Name: "beta", Dir: exampleDir},
@@ -236,63 +235,6 @@ func TestFleetReloadIsolationStress(t *testing.T) {
 	}
 }
 
-// TestAliasEndpointsMatchCanonical: every deprecated single-network
-// endpoint answers byte-identically to its /v1/nets/<default>/ twin and
-// announces its own deprecation via the Deprecation and Link headers.
-func TestAliasEndpointsMatchCanonical(t *testing.T) {
-	s := newTestServer(t, nil)
-	mustReload(t, s)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	for _, tc := range []struct{ alias, canonical, endpoint string }{
-		{"/v1/summary", "/v1/nets/example/summary", "summary"},
-		{"/v1/pathway?router=r1", "/v1/nets/example/pathway?router=r1", "pathway"},
-		{"/v1/reach", "/v1/nets/example/reach", "reach"},
-		{"/v1/whatif", "/v1/nets/example/whatif", "whatif"},
-		{"/v1/events", "/v1/nets/example/events", "events"},
-	} {
-		fetch := func(u string) (string, http.Header) {
-			resp, err := http.Get(ts.URL + u)
-			if err != nil {
-				t.Fatalf("GET %s: %v", u, err)
-			}
-			body, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("GET %s: status %d", u, resp.StatusCode)
-			}
-			return string(body), resp.Header
-		}
-		aBody, aHdr := fetch(tc.alias)
-		cBody, cHdr := fetch(tc.canonical)
-		if aBody != cBody {
-			t.Errorf("%s: body differs from %s:\n%s\nvs\n%s", tc.alias, tc.canonical, aBody, cBody)
-		}
-		if aHdr.Get("Deprecation") != "true" {
-			t.Errorf("%s: missing Deprecation header", tc.alias)
-		}
-		wantLink := fmt.Sprintf("</v1/nets/example/%s>; rel=\"successor-version\"", tc.endpoint)
-		if got := aHdr.Get("Link"); got != wantLink {
-			t.Errorf("%s: Link = %q, want %q", tc.alias, got, wantLink)
-		}
-		if cHdr.Get("Deprecation") != "" {
-			t.Errorf("%s: canonical route must not carry Deprecation", tc.canonical)
-		}
-	}
-
-	// The POST alias too.
-	resp, err := http.Post(ts.URL+"/v1/reload", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || resp.Header.Get("Deprecation") != "true" {
-		t.Errorf("POST /v1/reload: got %d Deprecation=%q, want 200 true",
-			resp.StatusCode, resp.Header.Get("Deprecation"))
-	}
-}
-
 // TestCrossNetParseCacheHits: three networks analyzing the same
 // configuration files through one shared parse cache means the second
 // and third networks replay parses the first one paid for — the
@@ -350,8 +292,9 @@ func TestEventsCursorsScopedPerNet(t *testing.T) {
 
 // TestUnknownNetEnvelope: a bogus {net} segment and a bogus path both
 // answer with the unified JSON error envelope, complete with a
-// machine-readable code and the request's trace ID where the tracing
-// stack ran.
+// machine-readable code and the request's trace ID. The pre-fleet
+// single-network paths are bogus paths now: a 404 not_found with no
+// Deprecation or Link header.
 func TestUnknownNetEnvelope(t *testing.T) {
 	s := newTestServer(t, nil)
 	mustReload(t, s)
@@ -373,6 +316,39 @@ func TestUnknownNetEnvelope(t *testing.T) {
 	code, m, _ = get(t, ts.URL+"/v1/bogus")
 	if code != http.StatusNotFound || m["code"] != codeNotFound {
 		t.Errorf("bogus path: got %d code=%v, want 404 not_found (%v)", code, m["code"], m)
+	}
+
+	for _, tc := range []struct{ method, path string }{
+		{"GET", "/v1/summary"},
+		{"GET", "/v1/pathway?router=r1"},
+		{"GET", "/v1/reach"},
+		{"GET", "/v1/whatif"},
+		{"POST", "/v1/reload"},
+		{"GET", "/v1/events"},
+		{"GET", "/v1/watch"},
+	} {
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", tc.method, tc.path, err)
+		}
+		var body map[string]any
+		json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound || body["code"] != codeNotFound {
+			t.Errorf("%s %s: got %d code=%v, want 404 not_found", tc.method, tc.path, resp.StatusCode, body["code"])
+		}
+		if id := resp.Header.Get(telemetry.TraceHeader); body["trace_id"] == nil || body["trace_id"] != id {
+			t.Errorf("%s %s: trace_id %v should match the X-Trace-Id header %q", tc.method, tc.path, body["trace_id"], id)
+		}
+		for _, h := range []string{"Deprecation", "Link"} {
+			if v := resp.Header.Get(h); v != "" {
+				t.Errorf("%s %s: %s header %q, want none", tc.method, tc.path, h, v)
+			}
+		}
 	}
 
 	// The 405 and 503 planes speak the same envelope.
@@ -402,7 +378,6 @@ func TestReloadWorkerPoolBounds(t *testing.T) {
 		}
 	}
 	s := newTestServer(t, func(c *Config) {
-		c.Dir = ""
 		c.Nets = []NetSource{
 			{Name: "n1", Load: slowLoad("n1")},
 			{Name: "n2", Load: slowLoad("n2")},
@@ -439,10 +414,7 @@ func TestFleetConfigValidation(t *testing.T) {
 		{"empty name", func(c *Config) {
 			c.Nets = []NetSource{{Name: "", Dir: exampleDir}}
 		}},
-		{"unknown default net", func(c *Config) {
-			c.Nets = []NetSource{{Name: "a", Dir: exampleDir}}
-			c.DefaultNet = "b"
-		}},
+		{"no networks", func(c *Config) {}},
 		{"missing corpus root", func(c *Config) {
 			c.CorpusDir = "no-such-corpus-root"
 		}},

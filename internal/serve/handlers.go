@@ -72,9 +72,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"ok": true})
 }
 
-// readyzResponse is the /readyz body. The top-level fields describe the
-// default network (the single-network compatibility view); Nets breaks
-// readiness down per network on the global probe.
+// readyzResponse is one network's readiness: the /readyz?net= body and
+// one entry of the fleet probe's nets list.
 type readyzResponse struct {
 	Net      string `json:"net,omitempty"`
 	Ready    bool   `json:"ready"`
@@ -87,8 +86,15 @@ type readyzResponse struct {
 	LastErrorAt string `json:"last_error_at,omitempty"`
 	// Quarantined: the most recent reload was rejected by admission
 	// control (the serving design is intact; see /v1/nets/{net}/quarantine).
-	Quarantined bool             `json:"quarantined,omitempty"`
-	Nets        []readyzResponse `json:"nets,omitempty"`
+	Quarantined bool `json:"quarantined,omitempty"`
+}
+
+// fleetReadyzResponse is the fleet /readyz body: the aggregate verdict
+// plus every network's own readiness.
+type fleetReadyzResponse struct {
+	Ready    bool             `json:"ready"`
+	Degraded bool             `json:"degraded"`
+	Nets     []readyzResponse `json:"nets"`
 }
 
 // readyz snapshots one network's readiness.
@@ -133,24 +139,13 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, code, resp)
 		return
 	}
-	// The top-level view keeps the historical single-network shape,
-	// reflecting the default network's generation, with the fleet
-	// aggregates layered on.
-	resp := s.defNet.readyz()
-	resp.Net = ""
-	anyReady, allDegraded := false, true
+	resp := fleetReadyzResponse{Degraded: true, Nets: make([]readyzResponse, 0, len(s.netNames))}
 	for _, name := range s.netNames {
 		nr := s.nets[name].readyz()
-		if nr.Ready {
-			anyReady = true
-		}
-		if !nr.Degraded {
-			allDegraded = false
-		}
+		resp.Ready = resp.Ready || nr.Ready
+		resp.Degraded = resp.Degraded && nr.Degraded
 		resp.Nets = append(resp.Nets, nr)
 	}
-	resp.Ready = anyReady
-	resp.Degraded = allDegraded
 	code := http.StatusOK
 	if !resp.Ready {
 		code = http.StatusServiceUnavailable
@@ -188,7 +183,6 @@ type parseCacheInfo struct {
 
 // netsResponse is the /v1/nets discovery body.
 type netsResponse struct {
-	DefaultNet string          `json:"default_net"`
 	Count      int             `json:"count"`
 	Nets       []netInfo       `json:"nets"`
 	ParseCache *parseCacheInfo `json:"parse_cache,omitempty"`
@@ -199,9 +193,8 @@ type netsResponse struct {
 // This is the discovery endpoint a consumer starts from.
 func (s *Server) handleNets(w http.ResponseWriter, r *http.Request) {
 	resp := netsResponse{
-		DefaultNet: s.defNet.name,
-		Count:      len(s.netNames),
-		Nets:       make([]netInfo, 0, len(s.netNames)),
+		Count: len(s.netNames),
+		Nets:  make([]netInfo, 0, len(s.netNames)),
 	}
 	for _, name := range s.netNames {
 		nw := s.nets[name]
@@ -288,20 +281,17 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request, nw *Networ
 		writeJSON(w, http.StatusInternalServerError, resp)
 		return
 	}
-	unchanged := st == before && before != nil
+	// unchanged: the signature set matched the serving generation, so
+	// the reload kept it (no swap, caches stay warm).
 	result := "swapped"
-	if unchanged {
+	if st == before {
 		result = "unchanged"
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"ok":     true,
-		"net":    nw.name,
-		"seq":    st.Seq,
-		"result": result,
-		// unchanged: the signature set matched the serving generation,
-		// so the reload kept it (no swap, caches stay warm). Kept
-		// alongside result for response-schema compatibility.
-		"unchanged": unchanged,
+		"ok":        true,
+		"net":       nw.name,
+		"seq":       st.Seq,
+		"result":    result,
 		"loaded_at": st.LoadedAt.UTC().Format(time.RFC3339),
 	})
 }

@@ -292,8 +292,8 @@ func (s *Server) handleQuarantine(w http.ResponseWriter, r *http.Request, nw *Ne
 // its network's active directory signature on a jittered interval,
 // reloads on change through the bounded worker pool, retries with
 // exponential backoff, and circuit-breaks (ingest.suspended) after
-// WatchTripAfter consecutive failures — resuming on the next good
-// signature. Run calls this; embedders driving Handler directly can
+// three consecutive failures (ingest.Watcher's default) — resuming on
+// the next good signature. Run calls this; embedders driving Handler directly can
 // call it themselves. The watchers stop when ctx is cancelled.
 func (s *Server) StartWatchers(ctx context.Context) {
 	if s.cfg.WatchInterval <= 0 {
@@ -335,7 +335,6 @@ func (nw *Network) watch(ctx context.Context) {
 		},
 		Interval:   s.cfg.WatchInterval,
 		MaxBackoff: s.cfg.WatchMaxBackoff,
-		TripAfter:  s.cfg.WatchTripAfter,
 		OnPoll: func(result string) {
 			s.reg.Counter(ingest.MetricPolls, lnet, telemetry.L("result", result)).Inc()
 		},

@@ -125,8 +125,7 @@ func newIngestServer(t *testing.T, mutate func(*Config)) (*Server, string) {
 	t.Helper()
 	dir := copyExample(t)
 	s := newTestServer(t, func(c *Config) {
-		c.Dir = dir
-		c.DefaultNet = "push"
+		c.Nets = []NetSource{{Name: "push", Dir: dir}}
 		c.IngestDir = t.TempDir()
 		c.Admission = &AdmissionPolicy{MaxRouterLossPct: 50, MinRouters: 1, MaxErrorDiags: -1, MaxCompartmentDelta: -1}
 		if mutate != nil {
@@ -219,7 +218,7 @@ func TestPushKeepsNetworkName(t *testing.T) {
 	var rm map[string]any
 	json.NewDecoder(resp.Body).Decode(&rm)
 	resp.Body.Close()
-	if rm["unchanged"] != true {
+	if rm["result"] != "unchanged" {
 		t.Errorf("reload of the promoted generation: got %v, want unchanged", rm)
 	}
 
@@ -317,7 +316,7 @@ func TestCatastrophicPushQuarantined(t *testing.T) {
 	if got := s.reg.Counter(ingest.MetricPushes, lnet("push"), telemetry.L("result", "rejected")).Value(); got != 1 {
 		t.Errorf("ingest_pushes_total{result=rejected} = %v, want 1", got)
 	}
-	evs, _, _ := s.Events().Since(0, 0)
+	evs, _, _ := s.Net("push").Events().Since(0, 0)
 	found := false
 	for _, ev := range evs {
 		if ev.Type == EvtDesignRejected {
@@ -488,7 +487,7 @@ func TestRollbackRestoresPreviousGeneration(t *testing.T) {
 	if got := s.reg.Counter(ingest.MetricRollbacks, lnet("push")).Value(); got != 1 {
 		t.Errorf("ingest_rollbacks_total = %v, want 1", got)
 	}
-	evs, _, _ := s.Events().Since(0, 0)
+	evs, _, _ := s.Net("push").Events().Since(0, 0)
 	found := false
 	for _, ev := range evs {
 		if ev.Type == EvtConfigRolledBack {
@@ -533,19 +532,22 @@ func TestReloadResponseSchema(t *testing.T) {
 		t.Fatal(err)
 	}
 	code, m := post(ts.URL + "/v1/nets/push/reload")
-	if code != http.StatusOK || m["result"] != "swapped" || m["unchanged"] != false {
-		t.Errorf("swapped reload: got %d result=%v unchanged=%v (%v)", code, m["result"], m["unchanged"], m)
+	if code != http.StatusOK || m["result"] != "swapped" {
+		t.Errorf("swapped reload: got %d result=%v (%v)", code, m["result"], m)
 	}
 	for _, k := range []string{"ok", "net", "seq", "loaded_at"} {
 		if _, present := m[k]; !present {
 			t.Errorf("swapped reload response missing %q: %v", k, m)
 		}
 	}
+	if _, present := m["unchanged"]; present {
+		t.Errorf("reload response carries an unchanged field beside result: %v", m)
+	}
 
 	// unchanged: same signature set, warm generation kept.
 	code, m = post(ts.URL + "/v1/nets/push/reload")
-	if code != http.StatusOK || m["result"] != "unchanged" || m["unchanged"] != true {
-		t.Errorf("unchanged reload: got %d result=%v unchanged=%v (%v)", code, m["result"], m["unchanged"], m)
+	if code != http.StatusOK || m["result"] != "unchanged" {
+		t.Errorf("unchanged reload: got %d result=%v (%v)", code, m["result"], m)
 	}
 
 	// failed: the injected analyzer error, no retries.

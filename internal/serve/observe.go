@@ -118,16 +118,11 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleVersion reports the build identity (also exported as the
-// routinglens_build_info gauge) plus what the daemon is serving; the
-// design_seq is the default network's, for single-network consumers.
+// routinglens_build_info gauge) and how many networks the daemon serves;
+// each network's generation is on /v1/nets.
 func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
-	out := struct {
+	writeJSON(w, http.StatusOK, struct {
 		telemetry.Build
-		DesignSeq int64 `json:"design_seq,omitempty"`
-		Nets      int   `json:"nets,omitempty"`
-	}{Build: s.build, Nets: len(s.netNames)}
-	if st := s.defNet.cur.Load(); st != nil {
-		out.DesignSeq = st.Seq
-	}
-	writeJSON(w, http.StatusOK, out)
+		Nets int `json:"nets,omitempty"`
+	}{Build: s.build, Nets: len(s.netNames)})
 }

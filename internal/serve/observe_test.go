@@ -21,7 +21,7 @@ func TestTraceIDOnEveryDataPlaneResponse(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	paths := []string{"/v1/summary", "/v1/pathway?router=r1", "/v1/reach", "/v1/whatif"}
+	paths := []string{"/v1/nets/example/summary", "/v1/nets/example/pathway?router=r1", "/v1/nets/example/reach", "/v1/nets/example/whatif"}
 	for _, p := range paths {
 		code, _, hdr := get(t, ts.URL+p)
 		if code != http.StatusOK {
@@ -48,7 +48,7 @@ func TestTraceIDOnEveryDataPlaneResponse(t *testing.T) {
 	}
 
 	// Errored responses are traced too.
-	_, _, hdr := get(t, ts.URL+"/v1/pathway?router=no-such-router")
+	_, _, hdr := get(t, ts.URL+"/v1/nets/example/pathway?router=no-such-router")
 	id := hdr.Get(telemetry.TraceHeader)
 	if !telemetry.ValidTraceID(id) {
 		t.Fatalf("404 response has no trace ID")
@@ -83,7 +83,7 @@ func TestTraceparentHonored(t *testing.T) {
 	defer ts.Close()
 
 	const want = "4bf92f3577b34da6a3ce929d0e0e4736"
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/summary", nil)
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/nets/example/summary", nil)
 	req.Header.Set(telemetry.TraceparentHeader, "00-"+want+"-00f067aa0ba902b7-01")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -100,7 +100,7 @@ func TestTraceparentHonored(t *testing.T) {
 	}
 
 	// A malformed traceparent falls back to a fresh ID, not a 4xx.
-	req, _ = http.NewRequest(http.MethodGet, ts.URL+"/v1/summary", nil)
+	req, _ = http.NewRequest(http.MethodGet, ts.URL+"/v1/nets/example/summary", nil)
 	req.Header.Set(telemetry.TraceparentHeader, "garbage")
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
@@ -122,8 +122,8 @@ func TestCacheReplayInstrumentedAndTraced(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	_, _, hdr1 := get(t, ts.URL+"/v1/summary")
-	code, _, hdr2 := get(t, ts.URL+"/v1/summary")
+	_, _, hdr1 := get(t, ts.URL+"/v1/nets/example/summary")
+	code, _, hdr2 := get(t, ts.URL+"/v1/nets/example/summary")
 	if code != http.StatusOK || hdr2.Get("X-Cache") != "hit" {
 		t.Fatalf("second request: code %d, X-Cache %q, want 200 hit", code, hdr2.Get("X-Cache"))
 	}
@@ -160,7 +160,7 @@ func TestSlowQueryReported(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	_, _, hdr := get(t, ts.URL+"/v1/summary")
+	_, _, hdr := get(t, ts.URL+"/v1/nets/example/summary")
 	id := hdr.Get(telemetry.TraceHeader)
 	if got := s.reg.Counter(MetricSlowQueries, telemetry.L("endpoint", "summary")).Value(); got != 1 {
 		t.Errorf("%s = %d, want 1", MetricSlowQueries, got)
@@ -169,7 +169,7 @@ func TestSlowQueryReported(t *testing.T) {
 	if m["slow"] != true {
 		t.Errorf("trace slow = %v, want true", m["slow"])
 	}
-	evs, _, _ := s.Events().Since(0, 0)
+	evs, _, _ := soleNet(t, s).Events().Since(0, 0)
 	var found bool
 	for _, ev := range evs {
 		if ev.Type == EvtSlowQuery && ev.Payload.(slowQueryPayload).TraceID == id {
@@ -185,14 +185,15 @@ func TestSlowQueryReported(t *testing.T) {
 	mustReload(t, s2)
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
-	get(t, ts2.URL+"/v1/summary")
+	get(t, ts2.URL+"/v1/nets/example/summary")
 	if got := s2.reg.Counter(MetricSlowQueries, telemetry.L("endpoint", "summary")).Value(); got != 0 {
 		t.Errorf("disabled slow-query still counted %d", got)
 	}
 }
 
-// TestVersionAndBuildInfo is satellite 2: /v1/version reports the build
-// identity and the registry exports routinglens_build_info.
+// TestVersionAndBuildInfo: /v1/version reports the build identity and
+// the served network count, and the registry exports
+// routinglens_build_info.
 func TestVersionAndBuildInfo(t *testing.T) {
 	s := newTestServer(t, nil)
 	mustReload(t, s)
@@ -209,8 +210,8 @@ func TestVersionAndBuildInfo(t *testing.T) {
 	if m["version"] == "" {
 		t.Error("version is empty")
 	}
-	if m["design_seq"].(float64) != 1 {
-		t.Errorf("design_seq = %v, want 1", m["design_seq"])
+	if m["nets"] != float64(1) {
+		t.Errorf("nets = %v, want 1", m["nets"])
 	}
 
 	resp, err := http.Get(ts.URL + "/metrics")

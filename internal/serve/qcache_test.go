@@ -39,14 +39,14 @@ func TestQueryCacheHitReplaysResponse(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	code, first, h := rawGet(t, ts.URL+"/v1/summary")
+	code, first, h := rawGet(t, ts.URL+"/v1/nets/example/summary")
 	if code != http.StatusOK {
 		t.Fatalf("first GET: status %d", code)
 	}
 	if h.Get("X-Cache") != "" {
 		t.Errorf("first GET marked %q, want no X-Cache header", h.Get("X-Cache"))
 	}
-	code, second, h := rawGet(t, ts.URL+"/v1/summary")
+	code, second, h := rawGet(t, ts.URL+"/v1/nets/example/summary")
 	if code != http.StatusOK {
 		t.Fatalf("second GET: status %d", code)
 	}
@@ -62,7 +62,7 @@ func TestQueryCacheHitReplaysResponse(t *testing.T) {
 
 	// Error responses are never cached: a retried bad query recomputes.
 	for i := 0; i < 2; i++ {
-		code, _, h := rawGet(t, ts.URL+"/v1/pathway?router=no-such-router")
+		code, _, h := rawGet(t, ts.URL+"/v1/nets/example/pathway?router=no-such-router")
 		if code != http.StatusNotFound {
 			t.Fatalf("bad pathway try %d: status %d, want 404", i, code)
 		}
@@ -89,14 +89,14 @@ func TestQueryCacheInvalidatedOnReload(t *testing.T) {
 		return m["seq"].(float64)
 	}
 
-	rawGet(t, ts.URL+"/v1/summary") // compute and cache under generation 1
-	_, body, h := rawGet(t, ts.URL+"/v1/summary")
+	rawGet(t, ts.URL+"/v1/nets/example/summary") // compute and cache under generation 1
+	_, body, h := rawGet(t, ts.URL+"/v1/nets/example/summary")
 	if h.Get("X-Cache") != "hit" || seqOf(body) != 1 {
 		t.Fatalf("warm-up: X-Cache=%q seq=%v, want hit/1", h.Get("X-Cache"), seqOf(body))
 	}
 
 	mustReload(t, s)
-	_, body, h = rawGet(t, ts.URL+"/v1/summary")
+	_, body, h = rawGet(t, ts.URL+"/v1/nets/example/summary")
 	if h.Get("X-Cache") == "hit" {
 		t.Error("first query after swap was served from the dead generation's cache")
 	}
@@ -118,7 +118,7 @@ func TestQueryCacheDisabled(t *testing.T) {
 	defer ts.Close()
 
 	for i := 0; i < 2; i++ {
-		code, _, h := rawGet(t, ts.URL+"/v1/summary")
+		code, _, h := rawGet(t, ts.URL+"/v1/nets/example/summary")
 		if code != http.StatusOK {
 			t.Fatalf("GET %d: status %d", i, code)
 		}
@@ -146,8 +146,8 @@ func TestConcurrentQueriesAcrossSwapWithQueryCache(t *testing.T) {
 	defer ts.Close()
 
 	urls := []string{
-		"/v1/summary", "/v1/pathway?router=r1", "/v1/reach",
-		"/v1/reach?src=10.10.1.0/24&dst=10.10.2.0/24", "/v1/whatif",
+		"/v1/nets/example/summary", "/v1/nets/example/pathway?router=r1", "/v1/nets/example/reach",
+		"/v1/nets/example/reach?src=10.10.1.0/24&dst=10.10.2.0/24", "/v1/nets/example/whatif",
 	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -207,14 +207,14 @@ func TestConcurrentQueriesAcrossSwapWithQueryCache(t *testing.T) {
 	for e := range errs {
 		t.Errorf("query across cached swap: %s", e)
 	}
-	if st := s.State(); st == nil || st.Seq != 6 {
+	if st := soleNet(t, s).State(); st == nil || st.Seq != 6 {
 		t.Errorf("final generation = %v, want 6", st)
 	}
 	// The cache must still engage on the surviving generation: a repeat
 	// query against generation 6 replays. (Hits during the swap storm are
 	// timing-dependent, so the engagement check is made deterministic.)
-	rawGet(t, ts.URL+"/v1/summary")
-	_, _, h := rawGet(t, ts.URL+"/v1/summary")
+	rawGet(t, ts.URL+"/v1/nets/example/summary")
+	_, _, h := rawGet(t, ts.URL+"/v1/nets/example/summary")
 	if h.Get("X-Cache") != "hit" {
 		t.Error("query cache did not engage on the final generation")
 	}

@@ -61,11 +61,11 @@ func (m *queryMetrics) observe(status int, d time.Duration) {
 	}
 }
 
-// queryRoute serves one data-plane route, canonical or deprecated alias,
-// in one pass that does, in order: trace-ID assignment and the request's
-// root span, the method check, network resolution, panic recovery, the
-// per-network concurrency limiter, the generation pin, ParseQuery, and
-// the per-network per-generation query cache. A cache hit is answered
+// queryRoute serves one data-plane route in one pass that does, in
+// order: trace-ID assignment and the request's root span, the method
+// check, network resolution, panic recovery, the per-network
+// concurrency limiter, the generation pin, ParseQuery, and the
+// per-network per-generation query cache. A cache hit is answered
 // inline; only a miss runs the fault hook and the handler, in a child
 // goroutine under the request deadline (compute). Every outcome — a
 // replay, a shed 429, a timeout 504, a recovered panic — gets a trace
@@ -78,7 +78,6 @@ type queryRoute struct {
 	endpoint string
 	span     string // the root span's name, "http/<endpoint>"
 	site     string // the fault-injection site, "handler.<endpoint>"
-	link     string // a deprecated alias's Link header; "" when canonical
 	h        queryFunc
 }
 
@@ -113,16 +112,21 @@ func (qr *queryRoute) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	})
 	s.traces.ObserveExemplar(qr.endpoint, id, d)
 	if slow {
-		if nw == nil {
-			nw = s.defNet
+		// A request that resolved no network is counted and logged, but
+		// has no network's event ring to publish on.
+		var name string
+		if nw != nil {
+			name = nw.name
 		}
 		s.reg.Counter(MetricSlowQueries, telemetry.L("endpoint", qr.endpoint)).Inc()
 		s.log.Warn("slow query",
-			"endpoint", qr.endpoint, "net", nw.name, "trace_id", id, "status", status,
+			"endpoint", qr.endpoint, "net", name, "trace_id", id, "status", status,
 			"elapsed", d.Round(time.Microsecond), "threshold", s.cfg.SlowQuery)
-		nw.emit(EvtSlowQuery, slowQueryPayload{
-			Endpoint: qr.endpoint, TraceID: id, Status: status, DurationMS: d.Milliseconds(),
-		})
+		if nw != nil {
+			nw.emit(EvtSlowQuery, slowQueryPayload{
+				Endpoint: qr.endpoint, TraceID: id, Status: status, DurationMS: d.Milliseconds(),
+			})
+		}
 	}
 }
 
@@ -133,7 +137,7 @@ func (qr *queryRoute) answer(w *telemetry.StatusWriter, r *http.Request, id stri
 	if !allowMethod(w, r, qr.method, id) {
 		return nil, false
 	}
-	if nw = s.resolveNet(w, r, qr.link, id); nw == nil {
+	if nw = s.resolveNet(w, r, id); nw == nil {
 		return nil, false
 	}
 	defer func() {

@@ -52,8 +52,9 @@ func maskQueryPath(s string) string {
 // response's status, headers and masked body, every counter and
 // histogram count it leaves in a fresh registry, the set of series, the
 // trace store's rows and the published event types. The script covers
-// every endpoint's miss and hit, the error paths, the alias routes, a
-// query before the first load, a shed, a timeout and a panic. Each
+// every endpoint's miss and hit, the error paths, the removed pre-fleet
+// alias paths (404s now), a query before the first load, a shed, a
+// timeout and a panic. Each
 // fault fires on its endpoint's first request, which is a cache miss.
 // Regenerate deliberately with
 //
@@ -333,7 +334,7 @@ func TestFaultHookFiresOnMissesOnly(t *testing.T) {
 
 	timed := func() (time.Duration, http.Header) {
 		start := time.Now()
-		code, _, hdr := rawGet(t, ts.URL+"/v1/summary")
+		code, _, hdr := rawGet(t, ts.URL+"/v1/nets/example/summary")
 		if code != http.StatusOK {
 			t.Fatalf("summary: status %d, want 200", code)
 		}
@@ -383,7 +384,7 @@ func (w *benchWriter) Write(p []byte) (int, error) {
 //	go test -run '^$' -bench QueryStack ./internal/serve
 func BenchmarkQueryStack(b *testing.B) {
 	s, err := New(Config{
-		Dir:      exampleDir,
+		Nets:     []NetSource{{Name: "example", Dir: exampleDir}},
 		Registry: telemetry.NewRegistry(),
 		Logger:   slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})

@@ -29,24 +29,17 @@ const (
 )
 
 // routeSpec declares one route of the daemon's HTTP surface. The whole
-// surface is this table: buildHandler mounts it, RouteTable renders it
-// for the golden-route regression test, and the deprecated
-// single-network aliases are ordinary rows pointing at their canonical
-// twins.
+// surface is this table: buildHandler mounts it and RouteTable renders
+// it for the golden-route regression test.
 type routeSpec struct {
 	method   string
 	pattern  string
 	endpoint string
 	kind     routeKind
-	// aliasOf names the canonical pattern a deprecated route forwards
-	// to; such routes resolve to the default network and answer with a
-	// Deprecation header. Empty for canonical routes.
-	aliasOf string
 }
 
 // routes is the daemon's complete HTTP surface, in documentation order:
-// fleet-wide control plane, then the canonical per-network API, then
-// the deprecated single-network aliases.
+// fleet-wide control plane, then the per-network API.
 var routes = []routeSpec{
 	{method: "GET", pattern: "/healthz", endpoint: "healthz", kind: routeGlobal},
 	{method: "GET", pattern: "/readyz", endpoint: "readyz", kind: routeGlobal},
@@ -66,14 +59,6 @@ var routes = []routeSpec{
 	{method: "GET", pattern: "/v1/nets/{net}/quarantine", endpoint: "quarantine", kind: routeNetCtl},
 	{method: "GET", pattern: "/v1/nets/{net}/events", endpoint: "events", kind: routeNetCtl},
 	{method: "GET", pattern: "/v1/nets/{net}/watch", endpoint: "watch", kind: routeNetCtl},
-
-	{method: "GET", pattern: "/v1/summary", endpoint: "summary", kind: routeQuery, aliasOf: "/v1/nets/{net}/summary"},
-	{method: "GET", pattern: "/v1/pathway", endpoint: "pathway", kind: routeQuery, aliasOf: "/v1/nets/{net}/pathway"},
-	{method: "GET", pattern: "/v1/reach", endpoint: "reach", kind: routeQuery, aliasOf: "/v1/nets/{net}/reach"},
-	{method: "GET", pattern: "/v1/whatif", endpoint: "whatif", kind: routeQuery, aliasOf: "/v1/nets/{net}/whatif"},
-	{method: "POST", pattern: "/v1/reload", endpoint: "reload", kind: routeNetCtl, aliasOf: "/v1/nets/{net}/reload"},
-	{method: "GET", pattern: "/v1/events", endpoint: "events", kind: routeNetCtl, aliasOf: "/v1/nets/{net}/events"},
-	{method: "GET", pattern: "/v1/watch", endpoint: "watch", kind: routeNetCtl, aliasOf: "/v1/nets/{net}/watch"},
 }
 
 // RouteTable renders the full route surface, one line per route — the
@@ -82,11 +67,7 @@ var routes = []routeSpec{
 func RouteTable() string {
 	var b strings.Builder
 	for _, rt := range routes {
-		fmt.Fprintf(&b, "%-4s %-28s endpoint=%s", rt.method, rt.pattern, rt.endpoint)
-		if rt.aliasOf != "" {
-			fmt.Fprintf(&b, " deprecated-alias-of=%s", rt.aliasOf)
-		}
-		b.WriteByte('\n')
+		fmt.Fprintf(&b, "%-4s %-28s endpoint=%s\n", rt.method, rt.pattern, rt.endpoint)
 	}
 	return b.String()
 }
@@ -115,7 +96,6 @@ func (s *Server) routeHandler(rt routeSpec) http.Handler {
 			endpoint: rt.endpoint,
 			span:     "http/" + rt.endpoint,
 			site:     "handler." + rt.endpoint,
-			link:     s.aliasLink(rt),
 			h:        s.queryHandler(rt.endpoint),
 		}
 	case routeNetCtl:
@@ -134,7 +114,6 @@ func (s *Server) routeHandler(rt routeSpec) http.Handler {
 // even when queries are saturated or timing out, reloads are
 // deliberately slow, and watch streams are deliberately long-lived.
 func (s *Server) control(rt routeSpec, h func(http.ResponseWriter, *http.Request, *Network)) http.Handler {
-	link := s.aliasLink(rt)
 	perNet := rt.kind == routeNetCtl
 	// Watch streams indefinitely; observing its latency would record
 	// connection lifetimes, not service time.
@@ -147,7 +126,7 @@ func (s *Server) control(rt routeSpec, h func(http.ResponseWriter, *http.Request
 		}
 		var nw *Network
 		if perNet {
-			if nw = s.resolveNet(w, r, link, id); nw == nil {
+			if nw = s.resolveNet(w, r, id); nw == nil {
 				return
 			}
 			if observe {
@@ -181,28 +160,9 @@ func allowMethod(w http.ResponseWriter, r *http.Request, method, traceID string)
 	return false
 }
 
-// aliasLink is the Link header a deprecated alias answers with, naming
-// its canonical twin on the default network; "" for a canonical route.
-func (s *Server) aliasLink(rt routeSpec) string {
-	if rt.aliasOf == "" {
-		return ""
-	}
-	return fmt.Sprintf("</v1/nets/%s/%s>; rel=\"successor-version\"", s.defNet.name, rt.endpoint)
-}
-
-// resolveNet finds the network a request addresses, or answers it and
-// returns nil. Canonical routes carry the name as the {net} path value —
-// an unknown name is a 404 with code unknown_net. Deprecated aliases
-// (link non-empty) resolve to the default network and announce
-// themselves with a Deprecation header plus a Link to their canonical
-// twin, so existing consumers keep working while their logs tell them
-// where to move.
-func (s *Server) resolveNet(w http.ResponseWriter, r *http.Request, link, traceID string) *Network {
-	if link != "" {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", link)
-		return s.defNet
-	}
+// resolveNet finds the network a request's {net} path value names, or
+// answers it with a 404 (code unknown_net) and returns nil.
+func (s *Server) resolveNet(w http.ResponseWriter, r *http.Request, traceID string) *Network {
 	name := r.PathValue("net")
 	if nw := s.nets[name]; nw != nil {
 		return nw
@@ -215,15 +175,20 @@ func (s *Server) resolveNet(w http.ResponseWriter, r *http.Request, link, traceI
 // recovered turns a recovered handler panic p into a 500 (unless the
 // response has already started) and a routinglens_panics_recovered_total
 // increment. The request dies; the process — and every later request,
-// on every network — does not.
+// on every network — does not. A panic on a request that resolved a
+// network (nw non-nil) is also published on that network's event ring;
+// a fleet-wide route's panic has no ring to go to.
 func (s *Server) recovered(w *telemetry.StatusWriter, p any, endpoint string, nw *Network, traceID string) {
-	if nw == nil {
-		nw = s.defNet
-	}
 	s.reg.Counter(MetricPanicsRecovered).Inc()
+	var name string
+	if nw != nil {
+		name = nw.name
+	}
 	s.log.Error("panic recovered; request failed, server continues",
-		"endpoint", endpoint, "net", nw.name, "panic", fmt.Sprint(p))
-	nw.emit(EvtPanic, panicPayload{Endpoint: endpoint, Net: nw.name, TraceID: traceID})
+		"endpoint", endpoint, "net", name, "panic", fmt.Sprint(p))
+	if nw != nil {
+		nw.emit(EvtPanic, panicPayload{Endpoint: endpoint, Net: name, TraceID: traceID})
+	}
 	if !w.Wrote() {
 		writeEnvelope(w, traceID, http.StatusInternalServerError, codeInternal,
 			"internal error (panic recovered)")

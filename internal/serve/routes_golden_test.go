@@ -3,11 +3,12 @@ package serve
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
 // TestRouteTableGolden pins the daemon's full HTTP surface — every
-// method, pattern, endpoint name, and deprecation alias — against
+// method, pattern, and endpoint name — against
 // testdata/routes.golden. A route added, removed, or renamed is an API
 // contract change: update the golden file deliberately with
 //
@@ -38,32 +39,24 @@ func TestRouteTableGolden(t *testing.T) {
 }
 
 // TestRouteTableInvariants enforces the structural rules the golden file
-// alone cannot: every alias points at an existing canonical route of the
-// same endpoint, and endpoint names match their path suffix (aliasLink
-// builds Link headers from that equality).
+// alone cannot: each endpoint name belongs to one route (metrics, traces
+// and fault sites key on it), every per-network route sits under
+// /v1/nets/{net}/ and every fleet-wide route outside it, and every
+// data-plane endpoint has a parameter spec (addNet resolves its metric
+// handles from queryParams).
 func TestRouteTableInvariants(t *testing.T) {
-	canonical := make(map[string]string) // pattern -> endpoint
+	seen := make(map[string]string) // endpoint -> pattern
 	for _, rt := range routes {
-		if rt.aliasOf == "" {
-			canonical[rt.pattern] = rt.endpoint
+		if prev, dup := seen[rt.endpoint]; dup {
+			t.Errorf("endpoint %s names both %s and %s", rt.endpoint, prev, rt.pattern)
 		}
-	}
-	for _, rt := range routes {
-		if rt.aliasOf == "" {
-			continue
+		seen[rt.endpoint] = rt.pattern
+		perNet := strings.HasPrefix(rt.pattern, "/v1/nets/{net}/")
+		if want := rt.kind != routeGlobal; perNet != want {
+			t.Errorf("route %s (kind %d): under /v1/nets/{net}/ = %v, want %v", rt.pattern, rt.kind, perNet, want)
 		}
-		ep, ok := canonical[rt.aliasOf]
-		if !ok {
-			t.Errorf("alias %s points at %s, which is not a canonical route", rt.pattern, rt.aliasOf)
-			continue
-		}
-		if ep != rt.endpoint {
-			t.Errorf("alias %s (endpoint %s) points at %s (endpoint %s); endpoints must match",
-				rt.pattern, rt.endpoint, rt.aliasOf, ep)
-		}
-		if want := "/v1/nets/{net}/" + rt.endpoint; rt.aliasOf != want {
-			t.Errorf("alias %s: canonical pattern %s should be %s (Link headers derive from the endpoint name)",
-				rt.pattern, rt.aliasOf, want)
+		if _, ok := queryParams[rt.endpoint]; ok != (rt.kind == routeQuery) {
+			t.Errorf("route %s: has a parameter spec = %v, want %v", rt.pattern, ok, rt.kind == routeQuery)
 		}
 	}
 }

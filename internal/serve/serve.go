@@ -43,7 +43,6 @@ import (
 	"syscall"
 	"time"
 
-	"routinglens/internal/compress"
 	"routinglens/internal/core"
 	"routinglens/internal/designdiff"
 	"routinglens/internal/events"
@@ -109,56 +108,29 @@ type NetSource struct {
 }
 
 // Config assembles a Server. The zero value of every optional field has
-// a usable default; exactly one design source is required — Nets,
-// CorpusDir, or the single-network Dir/Load pair.
+// a usable default; one design source is required — Nets or CorpusDir.
 type Config struct {
-	// Dir is the single-network configuration directory analyzed at
-	// startup and on every reload. The network is named DefaultNet if
-	// set, else after the directory's base name.
-	Dir string
-	// Load, when non-nil, replaces directory analysis for the single
-	// network — tests and the in-process smoke harness load from memory
-	// through it.
-	Load func(ctx context.Context) (*core.Result, error)
 	// CorpusDir is a corpus root — one subdirectory per network, one
 	// configuration file per router, the layout `cmd/netgen -out`
 	// writes. Every subdirectory becomes a served network named after
-	// it. Takes precedence over Dir/Load.
+	// it.
 	CorpusDir string
 	// Nets explicitly enumerates the served networks; takes precedence
-	// over CorpusDir and Dir/Load.
+	// over CorpusDir.
 	Nets []NetSource
-	// DefaultNet names the network the deprecated single-network
-	// endpoints (/v1/summary, ...) resolve to. Defaults to the sole
-	// network, or the first in name order.
-	DefaultNet string
-	// Analyzer runs the analyses for every network; nil means one
-	// core.NewAnalyzer per network built from AnalyzerOptions plus the
-	// shared ParseCache.
-	Analyzer *core.Analyzer
-	// AnalyzerOptions configure each per-network analyzer (ignored when
-	// Analyzer is set).
+	// AnalyzerOptions configure each per-network analyzer.
 	AnalyzerOptions []core.AnalyzerOption
 	// ParseCache, when non-nil, is shared by every per-network analyzer
 	// with per-network origin tracking, so identical boilerplate files
 	// across networks are parsed once (routinglens_parsecache_cross_net_hits
-	// counts the sharing). Ignored when Analyzer is set.
+	// counts the sharing).
 	ParseCache *parsecache.Cache
 	// SnapshotDir, when non-empty, holds one analyzed-design snapshot
 	// per network (`<net>.rlsnap`): cold starts restore from it in
 	// milliseconds instead of re-analyzing, reloads whose signature set
 	// is unchanged keep the warm generation, and every full analysis
-	// refreshes it. Ignored when Analyzer is set.
+	// refreshes it.
 	SnapshotDir string
-	// Compress, when true, builds the behavior-preserving quotient of
-	// every loaded design at swap time (internal/compress): reach and
-	// what-if queries run on the reduced class graph and expand back to
-	// concrete routers, byte-identically to the full analysis. On
-	// designs with no behavioral symmetry the quotient is the identity
-	// and queries take the ordinary path. Exposed per net as
-	// routinglens_compress_{routers,classes,ratio} and
-	// routinglens_compress_build_seconds.
-	Compress bool
 	// ReloadWorkers bounds concurrently running analysis attempts across
 	// the fleet (default 2): SIGHUP or startup against a large corpus
 	// re-analyzes a few networks at a time.
@@ -198,9 +170,6 @@ type Config struct {
 	// WatchMaxBackoff caps a failing watcher's exponential poll backoff
 	// (default 16×WatchInterval).
 	WatchMaxBackoff time.Duration
-	// WatchTripAfter is how many consecutive watcher failures trip its
-	// circuit breaker and emit ingest.suspended (default 3).
-	WatchTripAfter int
 	// LoadTimeout bounds one analysis attempt; 0 means unbounded.
 	LoadTimeout time.Duration
 	// ShutdownGrace is how long Run waits for in-flight requests to
@@ -235,10 +204,10 @@ type Config struct {
 
 // State is one immutable analysis generation. The server swaps whole
 // *State pointers, so a query sees one consistent design from first byte
-// to last even while a reload lands. Reachability (and the quotient under
-// Config.Compress) is built before the generation is published, whether
-// the design was analyzed or restored from a snapshot; survivability is
-// computed on first use. Each is computed once per generation.
+// to last even while a reload lands. Reachability is built before the
+// generation is published, whether the design was analyzed or restored
+// from a snapshot; survivability is computed on first use. Each is
+// computed once per generation.
 type State struct {
 	Res      *core.Result
 	Seq      int64
@@ -248,51 +217,6 @@ type State struct {
 	reached    *reach.Analysis
 	whatifOnce sync.Once
 	whatifed   *whatif.Analysis
-
-	// compressOn marks generations loaded under Config.Compress: their
-	// reach and what-if queries run on the design's quotient. Set before
-	// the generation is published and never written after.
-	compressOn bool
-	quotOnce   sync.Once
-	quot       *compress.Quotient
-}
-
-// Quotient returns the generation's design quotient, building it on
-// first use, or nil when the server runs uncompressed. On the serving
-// path Reload builds it at swap time, so queries find it resident.
-func (st *State) Quotient() *compress.Quotient {
-	if !st.compressOn {
-		return nil
-	}
-	st.quotOnce.Do(func() { st.quot = compress.Compute(st.Res.Design.Instances) })
-	return st.quot
-}
-
-// buildQuotient eagerly builds the generation's quotient and exports its
-// shape as per-net gauges. Like precomputeReach, the computation runs
-// outside the sync.Once so a panicking build degrades to the full
-// (uncompressed) query path instead of poisoning the generation.
-func (st *State) buildQuotient(reg *telemetry.Registry, lnet telemetry.Label, log *slog.Logger) {
-	defer func() {
-		if r := recover(); r != nil {
-			log.Warn("quotient build panicked; queries fall back to the full design",
-				"seq", st.Seq, "panic", fmt.Sprint(r))
-			st.quotOnce.Do(func() { st.quot = nil })
-		}
-	}()
-	start := time.Now()
-	q := compress.Compute(st.Res.Design.Instances)
-	dur := time.Since(start)
-	st.quotOnce.Do(func() { st.quot = q })
-	stats := q.Stats()
-	reg.Gauge(compress.MetricRouters, lnet).Set(float64(stats.Routers))
-	reg.Gauge(compress.MetricClasses, lnet).Set(float64(stats.Classes))
-	reg.Gauge(compress.MetricRatio, lnet).Set(stats.Ratio)
-	reg.Gauge(compress.MetricBuildSeconds, lnet).Set(dur.Seconds())
-	log.Info("design quotiented",
-		"seq", st.Seq, "routers", stats.Routers, "classes", stats.Classes,
-		"ratio", fmt.Sprintf("%.2f", stats.Ratio), "identity", stats.Identity,
-		"elapsed", dur.Round(time.Millisecond))
 }
 
 // Reach returns the state's reachability analysis, computing it on first
@@ -308,12 +232,7 @@ func (st *State) Reach() *reach.Analysis {
 // computeReach is the pure reachability computation shared by the lazy
 // Reach path and the eager precompute.
 func (st *State) computeReach() *reach.Analysis {
-	def := netaddr.PrefixFrom(0, 0)
-	ext := []simroute.ExternalRoute{{Prefix: def}}
-	if q := st.Quotient(); q != nil {
-		return q.Reach(st.Res.Design.AddressSpace, ext)
-	}
-	return st.Res.Design.Reachability(ext)
+	return st.Res.Design.Reachability([]simroute.ExternalRoute{{Prefix: netaddr.PrefixFrom(0, 0)}})
 }
 
 // precomputeReach eagerly builds the admitted-external reachability view
@@ -344,13 +263,7 @@ func (st *State) precomputeReach(log *slog.Logger) {
 
 // Whatif returns the state's survivability analysis, computed on first use.
 func (st *State) Whatif() *whatif.Analysis {
-	st.whatifOnce.Do(func() {
-		if q := st.Quotient(); q != nil {
-			st.whatifed = q.Whatif()
-			return
-		}
-		st.whatifed = st.Res.Design.Survivability()
-	})
+	st.whatifOnce.Do(func() { st.whatifed = st.Res.Design.Survivability() })
 	return st.whatifed
 }
 
@@ -437,7 +350,6 @@ type Server struct {
 
 	nets     map[string]*Network
 	netNames []string // sorted
-	defNet   *Network
 	pc       *parsecache.Cache
 	// reloadSem bounds concurrently running analysis attempts across
 	// the whole fleet (capacity ReloadWorkers).
@@ -459,9 +371,9 @@ type Server struct {
 
 // New builds a Server from cfg, resolving defaults and discovering the
 // served networks. It returns an error when the network set itself is
-// unusable — an unreadable corpus root, duplicate or malformed network
-// names, an unknown DefaultNet; a network whose directory merely fails
-// to analyze is not an error here (that is Reload's business, and the
+// unusable — no design source, an unreadable corpus root, duplicate or
+// malformed network names; a network whose directory merely fails to
+// analyze is not an error here (that is Reload's business, and the
 // fleet serves around it).
 func New(cfg Config) (*Server, error) {
 	if cfg.RequestTimeout <= 0 {
@@ -521,50 +433,28 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	sort.Strings(s.netNames)
-	if cfg.DefaultNet != "" {
-		nw, ok := s.nets[cfg.DefaultNet]
-		if !ok {
-			return nil, fmt.Errorf("serve: default net %q is not among the served networks %v",
-				cfg.DefaultNet, s.netNames)
-		}
-		s.defNet = nw
-	} else {
-		s.defNet = s.nets[s.netNames[0]]
-		if len(s.netNames) > 1 {
-			s.log.Info("no default net configured; deprecated single-network endpoints resolve to the first by name",
-				"net", s.defNet.name)
-		}
-	}
 	s.handler = s.buildHandler()
 	return s, nil
 }
 
 // netSources resolves the configured design sources into the network
-// list, in precedence order: explicit Nets, then a corpus root, then
-// the single-network Dir/Load pair.
+// list: explicit Nets, else the networks of the corpus root.
 func (cfg Config) netSources() ([]NetSource, error) {
 	if len(cfg.Nets) > 0 {
 		return cfg.Nets, nil
 	}
-	if cfg.CorpusDir != "" {
-		discovered, err := experiments.DiscoverCorpus(cfg.CorpusDir)
-		if err != nil {
-			return nil, fmt.Errorf("serve: %w", err)
-		}
-		srcs := make([]NetSource, 0, len(discovered))
-		for _, d := range discovered {
-			srcs = append(srcs, NetSource{Name: d.Name, Dir: d.Dir})
-		}
-		return srcs, nil
+	if cfg.CorpusDir == "" {
+		return nil, errors.New("serve: no networks configured (set Nets or CorpusDir)")
 	}
-	name := cfg.DefaultNet
-	if name == "" && cfg.Dir != "" {
-		name = filepath.Base(filepath.Clean(cfg.Dir))
+	discovered, err := experiments.DiscoverCorpus(cfg.CorpusDir)
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
-	if name == "" {
-		name = "default"
+	srcs := make([]NetSource, 0, len(discovered))
+	for _, d := range discovered {
+		srcs = append(srcs, NetSource{Name: d.Name, Dir: d.Dir})
 	}
-	return []NetSource{{Name: name, Dir: cfg.Dir, Load: cfg.Load}}, nil
+	return srcs, nil
 }
 
 // validNetName accepts names usable as a single {net} path segment and
@@ -585,23 +475,19 @@ func (s *Server) addNet(src NetSource) error {
 	if _, dup := s.nets[src.Name]; dup {
 		return fmt.Errorf("serve: duplicate network name %q", src.Name)
 	}
-	an := s.cfg.Analyzer
-	if an == nil {
-		opts := append([]core.AnalyzerOption{}, s.cfg.AnalyzerOptions...)
-		if s.pc != nil {
-			opts = append(opts, core.WithCache(s.pc), core.WithCacheOrigin(src.Name))
-		}
-		if s.cfg.SnapshotDir != "" {
-			opts = append(opts, core.WithSnapshotDir(s.cfg.SnapshotDir))
-		}
-		an = core.NewAnalyzer(opts...)
+	opts := append([]core.AnalyzerOption{}, s.cfg.AnalyzerOptions...)
+	if s.pc != nil {
+		opts = append(opts, core.WithCache(s.pc), core.WithCacheOrigin(src.Name))
+	}
+	if s.cfg.SnapshotDir != "" {
+		opts = append(opts, core.WithSnapshotDir(s.cfg.SnapshotDir))
 	}
 	nw := &Network{
 		s:      s,
 		name:   src.Name,
 		dir:    src.Dir,
 		loadFn: src.Load,
-		an:     an,
+		an:     core.NewAnalyzer(opts...),
 		sem:    make(chan struct{}, s.cfg.MaxInFlight),
 		evts:   events.NewBuffer(s.cfg.EventsBuffer, s.reg, telemetry.L("net", src.Name)),
 	}
@@ -634,14 +520,6 @@ func (s *Server) Net(name string) *Network { return s.nets[name] }
 // Nets returns the served network names, sorted.
 func (s *Server) Nets() []string { return append([]string(nil), s.netNames...) }
 
-// DefaultNet returns the network the deprecated single-network
-// endpoints resolve to.
-func (s *Server) DefaultNet() *Network { return s.defNet }
-
-// Events exposes the default network's event buffer; embedders serving
-// one network publish and observe through it.
-func (s *Server) Events() *events.Buffer { return s.defNet.evts }
-
 func registerHelp(reg *telemetry.Registry) {
 	reg.SetHelp(telemetry.MetricHTTPRequests, "HTTP requests served, by endpoint and status code.")
 	reg.SetHelp(telemetry.MetricHTTPLatency, "HTTP request latency, by endpoint.")
@@ -667,22 +545,10 @@ func registerHelp(reg *telemetry.Registry) {
 	reg.SetHelp(ingest.MetricWatchSuspended, "Config-source watcher circuit breaker: 1 while suspended, by net.")
 	reg.SetHelp(ingest.MetricPushes, "Pushed configuration archives, by net and result.")
 	reg.SetHelp(ingest.MetricRollbacks, "Generation rollbacks applied, by net.")
-	reg.SetHelp(compress.MetricRouters, "Routers in the served design the quotient was built from, by net.")
-	reg.SetHelp(compress.MetricClasses, "Behavioral equivalence classes in the served design's quotient, by net.")
-	reg.SetHelp(compress.MetricRatio, "Router-to-class compression ratio of the served quotient, by net.")
-	reg.SetHelp(compress.MetricBuildSeconds, "Wall time spent building the most recent quotient, by net.")
 }
 
 // Handler returns the daemon's HTTP surface.
 func (s *Server) Handler() http.Handler { return s.handler }
-
-// State returns the default network's served generation (nil before its
-// first successful load).
-func (s *Server) State() *State { return s.defNet.State() }
-
-// Degraded reports whether the default network's most recent (re)load
-// failed.
-func (s *Server) Degraded() bool { return s.defNet.Degraded() }
 
 // observeCrossNetHits exports the shared parse cache's cross-network
 // hit count after load activity; a no-op without a shared cache.
@@ -843,18 +709,13 @@ func (nw *Network) reload(ctx context.Context, req reloadReq) error {
 					return &AdmissionError{Reasons: reasons, Record: rec}
 				}
 			}
-			st := &State{Res: res, Seq: nw.seq.Add(1), LoadedAt: time.Now(),
-				compressOn: s.cfg.Compress}
+			st := &State{Res: res, Seq: nw.seq.Add(1), LoadedAt: time.Now()}
 			pstart := time.Now()
 			// Precompute the expensive per-generation analyses BEFORE the
 			// pointer swap, snapshot restores included: queries keep hitting
 			// the previous generation's resident view until the new one is
 			// fully warm, so a reload never exposes a cold (sheddable) reach
-			// window. The quotient goes first — computeReach simulates on it
-			// when compression is on.
-			if st.compressOn {
-				st.buildQuotient(s.reg, lnet, s.log)
-			}
+			// window.
 			st.precomputeReach(s.log)
 			precomputeDur := time.Since(pstart)
 			if req.promote != nil {
@@ -930,10 +791,6 @@ func (nw *Network) failReload(err error) error {
 		"net", nw.name, "error", err, "have_design", p.HaveDesign)
 	return err
 }
-
-// Reload reloads the default network — the single-network compatibility
-// surface tests and embedders use.
-func (s *Server) Reload(ctx context.Context) error { return s.defNet.Reload(ctx) }
 
 // ReloadAll (re)loads every network through the bounded fleet-wide
 // worker pool, in name order, and returns the first failure by name

@@ -26,12 +26,13 @@ import (
 // small enough that a full reload is milliseconds.
 var exampleDir = filepath.Join("..", "..", "testdata", "example")
 
-// newTestServer builds a Server over the example corpus with a private
-// registry and silent logs; mutate tweaks the Config before New.
+// newTestServer builds a Server over the example corpus, served as the
+// one network "example", with a private registry and silent logs;
+// mutate tweaks the Config before New.
 func newTestServer(t *testing.T, mutate func(*Config)) *Server {
 	t.Helper()
 	cfg := Config{
-		Dir:            exampleDir,
+		Nets:           []NetSource{{Name: "example", Dir: exampleDir}},
 		RequestTimeout: 5 * time.Second,
 		ReloadBackoff:  5 * time.Millisecond,
 		Registry:       telemetry.NewRegistry(),
@@ -47,10 +48,17 @@ func newTestServer(t *testing.T, mutate func(*Config)) *Server {
 	return s
 }
 
-// lnet labels a metric lookup with the test server's single network
-// (named after its configuration directory, or "default" for Load-hook
-// servers with no directory).
+// lnet labels a metric lookup with one network's name.
 func lnet(name string) telemetry.Label { return telemetry.L("net", name) }
+
+// soleNet returns the network of a server that serves exactly one.
+func soleNet(t *testing.T, s *Server) *Network {
+	t.Helper()
+	if len(s.netNames) != 1 {
+		t.Fatalf("server has %d networks, want 1", len(s.netNames))
+	}
+	return s.nets[s.netNames[0]]
+}
 
 // get issues one GET and returns status, parsed-if-JSON body, and headers.
 func get(t *testing.T, url string) (int, map[string]any, http.Header) {
@@ -71,7 +79,7 @@ func get(t *testing.T, url string) (int, map[string]any, http.Header) {
 
 func mustReload(t *testing.T, s *Server) {
 	t.Helper()
-	if err := s.Reload(context.Background()); err != nil {
+	if err := soleNet(t, s).Reload(context.Background()); err != nil {
 		t.Fatalf("Reload: %v", err)
 	}
 }
@@ -82,7 +90,7 @@ func TestEndpointsServeDesign(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	code, m, _ := get(t, ts.URL+"/v1/summary")
+	code, m, _ := get(t, ts.URL+"/v1/nets/example/summary")
 	if code != http.StatusOK {
 		t.Fatalf("summary: got %d, want 200 (%v)", code, m)
 	}
@@ -93,7 +101,7 @@ func TestEndpointsServeDesign(t *testing.T) {
 		t.Errorf("summary seq = %v, want 1", got)
 	}
 
-	code, m, _ = get(t, ts.URL+"/v1/pathway?router=r1")
+	code, m, _ = get(t, ts.URL+"/v1/nets/example/pathway?router=r1")
 	if code != http.StatusOK {
 		t.Fatalf("pathway: got %d, want 200 (%v)", code, m)
 	}
@@ -101,12 +109,12 @@ func TestEndpointsServeDesign(t *testing.T) {
 		t.Errorf("pathway router = %v, want r1", m["router"])
 	}
 
-	code, m, _ = get(t, ts.URL+"/v1/pathway?router=no-such-router")
+	code, m, _ = get(t, ts.URL+"/v1/nets/example/pathway?router=no-such-router")
 	if code != http.StatusNotFound {
 		t.Errorf("pathway unknown router: got %d, want 404 (%v)", code, m)
 	}
 
-	code, m, _ = get(t, ts.URL+"/v1/reach")
+	code, m, _ = get(t, ts.URL+"/v1/nets/example/reach")
 	if code != http.StatusOK {
 		t.Fatalf("reach: got %d, want 200 (%v)", code, m)
 	}
@@ -114,7 +122,7 @@ func TestEndpointsServeDesign(t *testing.T) {
 		t.Errorf("reach: missing has_default_route in %v", m)
 	}
 
-	code, m, _ = get(t, ts.URL+"/v1/reach?src=10.10.1.0/24&dst=10.10.2.0/24")
+	code, m, _ = get(t, ts.URL+"/v1/nets/example/reach?src=10.10.1.0/24&dst=10.10.2.0/24")
 	if code != http.StatusOK {
 		t.Fatalf("reach blocks: got %d, want 200 (%v)", code, m)
 	}
@@ -122,13 +130,13 @@ func TestEndpointsServeDesign(t *testing.T) {
 		t.Errorf("reach blocks: missing reachable in %v", m)
 	}
 
-	code, m, _ = get(t, ts.URL+"/v1/whatif")
+	code, m, _ = get(t, ts.URL+"/v1/nets/example/whatif")
 	if code != http.StatusOK {
 		t.Fatalf("whatif: got %d, want 200 (%v)", code, m)
 	}
 
 	// Text renderings reuse the CLI formatters.
-	for _, u := range []string{"/v1/summary?format=text", "/v1/pathway?router=r1&format=text", "/v1/whatif?format=text"} {
+	for _, u := range []string{"/v1/nets/example/summary?format=text", "/v1/nets/example/pathway?router=r1&format=text", "/v1/nets/example/whatif?format=text"} {
 		resp, err := http.Get(ts.URL + u)
 		if err != nil {
 			t.Fatalf("GET %s: %v", u, err)
@@ -172,12 +180,12 @@ func TestQueryValidationAndMethods(t *testing.T) {
 		url  string
 		want int
 	}{
-		{"/v1/summary?bogus=1", http.StatusBadRequest},
-		{"/v1/summary?format=xml", http.StatusBadRequest},
-		{"/v1/pathway", http.StatusBadRequest}, // missing router
-		{"/v1/reach?src=10.0.0.0/8", http.StatusBadRequest},
-		{"/v1/reach?src=not-a-prefix&dst=10.0.0.0/8", http.StatusBadRequest},
-		{"/v1/reload", http.StatusMethodNotAllowed}, // GET on a POST endpoint
+		{"/v1/nets/example/summary?bogus=1", http.StatusBadRequest},
+		{"/v1/nets/example/summary?format=xml", http.StatusBadRequest},
+		{"/v1/nets/example/pathway", http.StatusBadRequest}, // missing router
+		{"/v1/nets/example/reach?src=10.0.0.0/8", http.StatusBadRequest},
+		{"/v1/nets/example/reach?src=not-a-prefix&dst=10.0.0.0/8", http.StatusBadRequest},
+		{"/v1/nets/example/reload", http.StatusMethodNotAllowed}, // GET on a POST endpoint
 	} {
 		code, m, _ := get(t, ts.URL+tc.url)
 		if code != tc.want {
@@ -185,13 +193,13 @@ func TestQueryValidationAndMethods(t *testing.T) {
 		}
 	}
 
-	resp, err := http.Post(ts.URL+"/v1/summary", "", nil)
+	resp, err := http.Post(ts.URL+"/v1/nets/example/summary", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("POST /v1/summary: got %d, want 405", resp.StatusCode)
+		t.Errorf("POST /v1/nets/example/summary: got %d, want 405", resp.StatusCode)
 	}
 }
 
@@ -202,7 +210,7 @@ func TestNoDesignYet(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	code, _, _ := get(t, ts.URL+"/v1/summary")
+	code, _, _ := get(t, ts.URL+"/v1/nets/example/summary")
 	if code != http.StatusServiceUnavailable {
 		t.Errorf("summary before load: got %d, want 503", code)
 	}
@@ -230,23 +238,23 @@ func TestPanicRecovered(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	code, m, _ := get(t, ts.URL+"/v1/summary")
+	code, m, _ := get(t, ts.URL+"/v1/nets/example/summary")
 	if code != http.StatusInternalServerError {
 		t.Fatalf("panicking request: got %d, want 500 (%v)", code, m)
 	}
 	if got := reg.Counter(MetricPanicsRecovered).Value(); got != 1 {
 		t.Errorf("%s = %d, want 1", MetricPanicsRecovered, got)
 	}
-	code, m, _ = get(t, ts.URL+"/v1/summary")
+	code, m, _ = get(t, ts.URL+"/v1/nets/example/summary")
 	if code != http.StatusOK {
 		t.Fatalf("request after panic: got %d, want 200 (%v)", code, m)
 	}
 }
 
 // TestReloadFailureKeepsLastGood is acceptance criterion (b): when a
-// reload fails after retries, /readyz degrades but every query endpoint
-// keeps serving the last-good design; a later successful reload clears
-// the degradation.
+// reload fails after retries, /readyz degrades (the network's own probe
+// naming the error) but every query endpoint keeps serving the last-good
+// design; a later successful reload clears the degradation.
 func TestReloadFailureKeepsLastGood(t *testing.T) {
 	s := newTestServer(t, func(c *Config) {
 		// First load succeeds; the next two analyzer visits (reload
@@ -260,7 +268,7 @@ func TestReloadFailureKeepsLastGood(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	resp, err := http.Post(ts.URL+"/v1/reload", "", nil)
+	resp, err := http.Post(ts.URL+"/v1/nets/example/reload", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,12 +286,13 @@ func TestReloadFailureKeepsLastGood(t *testing.T) {
 	if code != http.StatusServiceUnavailable || m["degraded"] != true {
 		t.Fatalf("readyz while degraded: got %d %v, want 503 degraded", code, m)
 	}
-	if m["last_error"] == nil {
-		t.Errorf("readyz while degraded: missing last_error in %v", m)
+	code, m, _ = get(t, ts.URL+"/readyz?net=example")
+	if code != http.StatusServiceUnavailable || m["last_error"] == nil {
+		t.Errorf("readyz?net=example while degraded: got %d, missing last_error in %v", code, m)
 	}
 
 	// The query plane is unaffected: last-good generation 1 still serves.
-	code, m, _ = get(t, ts.URL+"/v1/summary")
+	code, m, _ = get(t, ts.URL+"/v1/nets/example/summary")
 	if code != http.StatusOK {
 		t.Fatalf("summary while degraded: got %d, want 200 (%v)", code, m)
 	}
@@ -292,7 +301,7 @@ func TestReloadFailureKeepsLastGood(t *testing.T) {
 	}
 
 	// Recovery: the fault window is exhausted, so this reload lands.
-	resp, err = http.Post(ts.URL+"/v1/reload", "", nil)
+	resp, err = http.Post(ts.URL+"/v1/nets/example/reload", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +313,7 @@ func TestReloadFailureKeepsLastGood(t *testing.T) {
 	if code != http.StatusOK || m["degraded"] != false {
 		t.Errorf("readyz after recovery: got %d %v, want 200 not-degraded", code, m)
 	}
-	code, m, _ = get(t, ts.URL+"/v1/summary")
+	code, m, _ = get(t, ts.URL+"/v1/nets/example/summary")
 	if code != http.StatusOK || m["seq"].(float64) != 2 {
 		t.Errorf("summary after recovery: got %d seq=%v, want 200 seq=2", code, m["seq"])
 	}
@@ -334,7 +343,7 @@ func TestShedUnderSaturation(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			codes[i], _, _ = get(t, ts.URL+"/v1/summary")
+			codes[i], _, _ = get(t, ts.URL+"/v1/nets/example/summary")
 		}(i)
 	}
 	// Wait for both to hold their slots before probing.
@@ -346,7 +355,7 @@ func TestShedUnderSaturation(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	code, m, hdr := get(t, ts.URL+"/v1/summary")
+	code, m, hdr := get(t, ts.URL+"/v1/nets/example/summary")
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("saturated request: got %d, want 429 (%v)", code, m)
 	}
@@ -381,14 +390,14 @@ func TestRequestTimeout(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	code, m, _ := get(t, ts.URL+"/v1/whatif")
+	code, m, _ := get(t, ts.URL+"/v1/nets/example/whatif")
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("slow request: got %d, want 504 (%v)", code, m)
 	}
 	if got := reg.Counter(MetricTimeouts).Value(); got != 1 {
 		t.Errorf("%s = %d, want 1", MetricTimeouts, got)
 	}
-	code, _, _ = get(t, ts.URL+"/v1/whatif")
+	code, _, _ = get(t, ts.URL+"/v1/nets/example/whatif")
 	if code != http.StatusOK {
 		t.Errorf("request after timeout: got %d, want 200", code)
 	}
@@ -419,7 +428,7 @@ func TestRunDrainsOnSIGTERM(t *testing.T) {
 
 	reqDone := make(chan int, 1)
 	go func() {
-		code, _, _ := get(t, base+"/v1/summary")
+		code, _, _ := get(t, base+"/v1/nets/example/summary")
 		reqDone <- code
 	}()
 	deadline := time.Now().Add(3 * time.Second)
@@ -467,7 +476,7 @@ func TestSIGHUPReloads(t *testing.T) {
 	sigs <- syscall.SIGHUP
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if st := s.State(); st != nil && st.Seq >= 2 {
+		if st := soleNet(t, s).State(); st != nil && st.Seq >= 2 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -492,8 +501,8 @@ func TestConcurrentQueriesDuringReload(t *testing.T) {
 	defer ts.Close()
 
 	urls := []string{
-		"/v1/summary", "/v1/pathway?router=r1", "/v1/reach",
-		"/v1/reach?src=10.10.1.0/24&dst=10.10.2.0/24", "/v1/whatif",
+		"/v1/nets/example/summary", "/v1/nets/example/pathway?router=r1", "/v1/nets/example/reach",
+		"/v1/nets/example/reach?src=10.10.1.0/24&dst=10.10.2.0/24", "/v1/nets/example/whatif",
 	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -538,7 +547,7 @@ func TestConcurrentQueriesDuringReload(t *testing.T) {
 	for e := range errs {
 		t.Errorf("query during reload swap: %s", e)
 	}
-	if st := s.State(); st == nil || st.Seq != 6 {
+	if st := soleNet(t, s).State(); st == nil || st.Seq != 6 {
 		t.Errorf("final generation = %v, want 6", st)
 	}
 }
@@ -548,7 +557,7 @@ func TestConcurrentQueriesDuringReload(t *testing.T) {
 func TestStateLazyAnalysesComputedOnce(t *testing.T) {
 	s := newTestServer(t, nil)
 	mustReload(t, s)
-	st := s.State()
+	st := soleNet(t, s).State()
 	var wg sync.WaitGroup
 	reaches := make([]any, 16)
 	for i := range reaches {
@@ -578,15 +587,14 @@ func TestLoadHookReplacesDirectory(t *testing.T) {
 		"b.cfg": "hostname b\ninterface Ethernet0\n ip address 10.0.0.2 255.255.255.252\nrouter ospf 1\n network 10.0.0.0 0.0.0.3 area 0\n",
 	}
 	s := newTestServer(t, func(c *Config) {
-		c.Dir = ""
-		c.Load = func(ctx context.Context) (*core.Result, error) {
+		c.Nets = []NetSource{{Name: "mem", Load: func(ctx context.Context) (*core.Result, error) {
 			return an.AnalyzeConfigsResult(ctx, "mem", configs)
-		}
+		}}}
 	})
 	mustReload(t, s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	code, m, _ := get(t, ts.URL+"/v1/summary")
+	code, m, _ := get(t, ts.URL+"/v1/nets/mem/summary")
 	if code != http.StatusOK || m["routers"].(float64) != 2 {
 		t.Fatalf("summary over Load hook: got %d %v, want 200 with 2 routers", code, m)
 	}

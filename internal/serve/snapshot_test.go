@@ -17,9 +17,9 @@ import (
 	"routinglens/internal/telemetry"
 )
 
-// copyCorpus clones the example corpus into a fresh directory whose base
-// name becomes the network name (and therefore the snapshot file name),
-// so tests can edit files and pin the name across server restarts.
+// copyCorpus clones the example corpus into a fresh directory named
+// name, so tests can edit files and pin the network name (and therefore
+// the snapshot file name) across server restarts.
 func copyCorpus(t *testing.T, name string) string {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), name)
@@ -42,11 +42,13 @@ func copyCorpus(t *testing.T, name string) string {
 	return dir
 }
 
-// snapServer builds a Server over dir with the given snapshot directory.
+// snapServer builds a Server over dir, served as one network named after
+// the directory's base name, with the given snapshot directory ("" for
+// none).
 func snapServer(t *testing.T, dir, snapDir string) *Server {
 	t.Helper()
 	return newTestServer(t, func(cfg *Config) {
-		cfg.Dir = dir
+		cfg.Nets = []NetSource{{Name: filepath.Base(dir), Dir: dir}}
 		cfg.SnapshotDir = snapDir
 	})
 }
@@ -82,7 +84,7 @@ func TestSnapshotColdStartAndUnchangedReload(t *testing.T) {
 	}
 	ts1 := httptest.NewServer(s1.Handler())
 	defer ts1.Close()
-	_, base, _ := get(t, ts1.URL+"/v1/summary")
+	_, base, _ := get(t, ts1.URL+"/v1/nets/snapnet/summary")
 
 	// Second server cold-starts from the snapshot.
 	s2 := snapServer(t, dir, snapDir)
@@ -90,20 +92,20 @@ func TestSnapshotColdStartAndUnchangedReload(t *testing.T) {
 	if got := netCounterVal(s2, core.MetricSnapshotLoads, "snapnet"); got != 1 {
 		t.Fatalf("loads after cold start = %d, want 1", got)
 	}
-	st := s2.defNet.cur.Load()
+	st := s2.Net("snapnet").State()
 	if st == nil || !st.Res.FromSnapshot {
 		t.Fatalf("cold start did not restore from snapshot (state %+v)", st)
 	}
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
-	_, got, _ := get(t, ts2.URL+"/v1/summary")
+	_, got, _ := get(t, ts2.URL+"/v1/nets/snapnet/summary")
 	if !reflect.DeepEqual(bodyWithoutTimes(t, base), bodyWithoutTimes(t, got)) {
 		t.Errorf("snapshot-restored summary differs:\n full: %v\n snap: %v", base, got)
 	}
 
 	// A no-change reload keeps the serving generation: same *State, no
 	// seq bump, no query-cache purge, result counted "unchanged".
-	resp, err := http.Post(ts2.URL+"/v1/reload", "", nil)
+	resp, err := http.Post(ts2.URL+"/v1/nets/snapnet/reload", "", nil)
 	if err != nil {
 		t.Fatalf("POST reload: %v", err)
 	}
@@ -112,10 +114,10 @@ func TestSnapshotColdStartAndUnchangedReload(t *testing.T) {
 		t.Fatalf("decoding reload response: %v", err)
 	}
 	resp.Body.Close()
-	if rm["unchanged"] != true {
-		t.Errorf("reload response unchanged = %v, want true (%v)", rm["unchanged"], rm)
+	if rm["result"] != "unchanged" {
+		t.Errorf("reload response result = %v, want unchanged (%v)", rm["result"], rm)
 	}
-	if after := s2.defNet.cur.Load(); after != st {
+	if after := s2.Net("snapnet").State(); after != st {
 		t.Errorf("no-change reload swapped the generation (seq %d -> %d)", st.Seq, after.Seq)
 	}
 	unchanged := s2.reg.Counter(MetricReloads, lnet("snapnet"), telemetry.L("result", "unchanged")).Value()
@@ -134,7 +136,7 @@ func TestSnapshotColdStartAndUnchangedReload(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustReload(t, s2)
-	after := s2.defNet.cur.Load()
+	after := s2.Net("snapnet").State()
 	if after == st {
 		t.Fatal("reload after edit kept the old generation")
 	}
@@ -147,31 +149,21 @@ func TestSnapshotColdStartAndUnchangedReload(t *testing.T) {
 }
 
 // TestSnapshotColdStartWarmsReach: a generation restored from a snapshot,
-// like every other, has its reach analysis (and, under Compress, its
-// quotient) built before the reload that publishes it returns, so no
-// query pays for or races a simulation.
+// like every other, has its reach analysis built before the reload that
+// publishes it returns, so no query pays for or races a simulation.
 func TestSnapshotColdStartWarmsReach(t *testing.T) {
 	dir := copyCorpus(t, "snapwarm")
 	snapDir := t.TempDir()
 	mustReload(t, snapServer(t, dir, snapDir))
 
-	for _, compressOn := range []bool{false, true} {
-		s := newTestServer(t, func(cfg *Config) {
-			cfg.Dir = dir
-			cfg.SnapshotDir = snapDir
-			cfg.Compress = compressOn
-		})
-		mustReload(t, s)
-		st := s.defNet.cur.Load()
-		if !st.Res.FromSnapshot {
-			t.Fatalf("compress=%t: cold start did not restore from the snapshot", compressOn)
-		}
-		if st.reached == nil {
-			t.Errorf("compress=%t: reach analysis not resident when the reload returned", compressOn)
-		}
-		if compressOn && st.quot == nil {
-			t.Error("compress=true: quotient not resident when the reload returned")
-		}
+	s := snapServer(t, dir, snapDir)
+	mustReload(t, s)
+	st := s.Net("snapwarm").State()
+	if !st.Res.FromSnapshot {
+		t.Fatal("cold start did not restore from the snapshot")
+	}
+	if st.reached == nil {
+		t.Error("reach analysis not resident when the reload returned")
 	}
 }
 
@@ -180,7 +172,7 @@ func TestSnapshotCorruptionServesIdenticalAnswers(t *testing.T) {
 	snapDir := t.TempDir()
 
 	// Baseline: no snapshots at all.
-	plain := newTestServer(t, func(cfg *Config) { cfg.Dir = dir })
+	plain := snapServer(t, dir, "")
 	mustReload(t, plain)
 	tsPlain := httptest.NewServer(plain.Handler())
 	defer tsPlain.Close()
@@ -203,7 +195,7 @@ func TestSnapshotCorruptionServesIdenticalAnswers(t *testing.T) {
 	if got := netCounterVal(s, core.MetricSnapshotInvalid, "snapcorrupt"); got != 1 {
 		t.Errorf("invalid after corrupt load = %d, want 1", got)
 	}
-	if st := s.defNet.cur.Load(); st.Res.FromSnapshot {
+	if st := s.Net("snapcorrupt").State(); st.Res.FromSnapshot {
 		t.Error("corrupt snapshot claims to have restored")
 	}
 	// Full re-analysis refreshed the snapshot; the corruption healed.
@@ -220,11 +212,11 @@ func TestSnapshotCorruptionServesIdenticalAnswers(t *testing.T) {
 	// "Slower, never wrong": every query answer matches the
 	// never-snapshotted server byte for byte (modulo load timestamps).
 	for _, ep := range []string{
-		"/v1/summary",
-		"/v1/pathway?router=r1",
-		"/v1/reach",
-		"/v1/reach?src=10.10.1.0/24&dst=10.10.2.0/24",
-		"/v1/whatif",
+		"/v1/nets/snapcorrupt/summary",
+		"/v1/nets/snapcorrupt/pathway?router=r1",
+		"/v1/nets/snapcorrupt/reach",
+		"/v1/nets/snapcorrupt/reach?src=10.10.1.0/24&dst=10.10.2.0/24",
+		"/v1/nets/snapcorrupt/whatif",
 	} {
 		_, want, _ := get(t, tsPlain.URL+ep)
 		_, got, _ := get(t, ts.URL+ep)
@@ -243,6 +235,7 @@ func TestSnapshotLoadDuringReloadStress(t *testing.T) {
 	snapDir := t.TempDir()
 	s := snapServer(t, dir, snapDir)
 	mustReload(t, s)
+	nw := s.Net("snapstress")
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -261,7 +254,7 @@ func TestSnapshotLoadDuringReloadStress(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				// Reload errors are impossible here (the corpus always
 				// parses); surface any as test failures.
-				if err := s.defNet.Reload(context.Background()); err != nil {
+				if err := nw.Reload(context.Background()); err != nil {
 					t.Errorf("concurrent reload: %v", err)
 				}
 			}
@@ -272,7 +265,7 @@ func TestSnapshotLoadDuringReloadStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				code, m, _ := get(t, ts.URL+"/v1/summary")
+				code, m, _ := get(t, ts.URL+"/v1/nets/snapstress/summary")
 				if code != 200 {
 					t.Errorf("summary during stress: got %d (%v)", code, m)
 				} else if m["routers"].(float64) != 6 {
@@ -299,7 +292,7 @@ func TestSnapshotLoadDuringReloadStress(t *testing.T) {
 	// Converge: one final reload must land a coherent design and leave a
 	// loadable snapshot behind.
 	mustReload(t, s)
-	code, m, _ := get(t, ts.URL+"/v1/summary")
+	code, m, _ := get(t, ts.URL+"/v1/nets/snapstress/summary")
 	if code != 200 || m["routers"].(float64) != 6 {
 		t.Fatalf("post-stress summary: code %d, body %v", code, m)
 	}

@@ -17,18 +17,18 @@ import (
 	"routinglens/internal/paperexample"
 )
 
-// driftingServer builds a Server whose Load hook analyzes a mutable
-// in-memory copy of the paper-example configs; the returned drift
-// function applies a design-changing edit (a new router joining ospf
-// 64), so the next reload produces a non-empty design diff.
+// driftingServer builds a Server whose one network, "paper", loads
+// through a hook that analyzes a mutable in-memory copy of the
+// paper-example configs; the returned drift function applies a
+// design-changing edit (a new router joining ospf 64), so the next
+// reload produces a non-empty design diff.
 func driftingServer(t *testing.T, mutate func(*Config)) (*Server, func()) {
 	t.Helper()
 	an := core.NewAnalyzer()
 	var mu sync.Mutex
 	configs := paperexample.Configs()
 	s := newTestServer(t, func(c *Config) {
-		c.Dir = ""
-		c.Load = func(ctx context.Context) (*core.Result, error) {
+		c.Nets = []NetSource{{Name: "paper", Load: func(ctx context.Context) (*core.Result, error) {
 			mu.Lock()
 			snap := make(map[string]string, len(configs))
 			for k, v := range configs {
@@ -36,7 +36,7 @@ func driftingServer(t *testing.T, mutate func(*Config)) (*Server, func()) {
 			}
 			mu.Unlock()
 			return an.AnalyzeConfigsResult(ctx, "paper", snap)
-		}
+		}}}
 		if mutate != nil {
 			mutate(c)
 		}
@@ -58,7 +58,7 @@ type sseFrame struct {
 	comment string
 }
 
-// openWatch connects to a /v1/watch URL and decodes its frames onto a
+// openWatch connects to a watch URL and decodes its frames onto a
 // channel; the returned cancel tears the connection down. Comment lines
 // (heartbeats) arrive as frames with only comment set.
 func openWatch(t *testing.T, url, lastEventID string) (<-chan sseFrame, context.CancelFunc) {
@@ -152,7 +152,7 @@ func decodeEvent(t *testing.T, f sseFrame) (events.Event, map[string]any) {
 	return events.Event{Cursor: ev.Cursor, Type: events.Type(ev.Type)}, ev.Payload
 }
 
-// eventsPage fetches one /v1/events page as typed JSON.
+// eventsPage fetches one events page as typed JSON.
 func eventsPage(t *testing.T, url string) (resp struct {
 	Oldest    uint64 `json:"oldest"`
 	Latest    uint64 `json:"latest"`
@@ -181,8 +181,8 @@ func eventsPage(t *testing.T, url string) (resp struct {
 
 // TestDesignDriftObservableOnBothSurfaces is the PR's core acceptance
 // criterion: a design-changing reload yields at least one structured
-// design-diff event, observable both by cursor on /v1/events and live
-// on a /v1/watch subscription opened before the reload happened.
+// design-diff event, observable both by cursor on the events endpoint
+// and live on a watch subscription opened before the reload happened.
 func TestDesignDriftObservableOnBothSurfaces(t *testing.T) {
 	s, drift := driftingServer(t, nil)
 	mustReload(t, s)
@@ -190,7 +190,7 @@ func TestDesignDriftObservableOnBothSurfaces(t *testing.T) {
 	defer ts.Close()
 
 	// The watcher connects BEFORE the drifting reload.
-	frames, cancel := openWatch(t, ts.URL+"/v1/watch", "")
+	frames, cancel := openWatch(t, ts.URL+"/v1/nets/paper/watch", "")
 	defer cancel()
 	// It first replays the initial load's generation.swap from the ring.
 	f := nextFrame(t, frames, 5*time.Second, func(f sseFrame) bool { return f.event == string(EvtSwap) })
@@ -225,8 +225,8 @@ func TestDesignDriftObservableOnBothSurfaces(t *testing.T) {
 	}
 
 	// Cursor path: the same diff event is readable by cursor on
-	// /v1/events, at the exact cursor the stream frame carried.
-	page := eventsPage(t, ts.URL+"/v1/events")
+	// the events endpoint, at the exact cursor the stream frame carried.
+	page := eventsPage(t, ts.URL+"/v1/nets/paper/events")
 	var found bool
 	for _, pe := range page.Events {
 		if pe.Type == string(EvtDesignDiff) && pe.Cursor == ev.Cursor {
@@ -234,11 +234,11 @@ func TestDesignDriftObservableOnBothSurfaces(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatalf("design.diff at cursor %d not on /v1/events (%d events, latest %d)",
+		t.Fatalf("design.diff at cursor %d not on the events page (%d events, latest %d)",
 			ev.Cursor, len(page.Events), page.Latest)
 	}
 	// And resuming from just before that cursor returns it first.
-	resume := eventsPage(t, ts.URL+"/v1/events?since="+strconv.FormatUint(ev.Cursor-1, 10))
+	resume := eventsPage(t, ts.URL+"/v1/nets/paper/events?since="+strconv.FormatUint(ev.Cursor-1, 10))
 	if len(resume.Events) == 0 || resume.Events[0].Cursor != ev.Cursor {
 		t.Errorf("resume at %d: first event %+v", ev.Cursor-1, resume.Events)
 	}
@@ -254,12 +254,12 @@ func TestEventsEndpointValidation(t *testing.T) {
 	defer ts.Close()
 
 	for _, bad := range []string{"?since=abc", "?since=-1", "?limit=0", "?limit=9999", "?limit=x"} {
-		code, _, _ := get(t, ts.URL+"/v1/events"+bad)
+		code, _, _ := get(t, ts.URL+"/v1/nets/example/events"+bad)
 		if code != http.StatusBadRequest {
-			t.Errorf("/v1/events%s: got %d, want 400", bad, code)
+			t.Errorf("events%s: got %d, want 400", bad, code)
 		}
 	}
-	page := eventsPage(t, ts.URL+"/v1/events?limit=1")
+	page := eventsPage(t, ts.URL+"/v1/nets/example/events?limit=1")
 	if len(page.Events) != 1 || page.Next != page.Events[0].Cursor {
 		t.Errorf("limit=1 page: %+v", page)
 	}
@@ -271,12 +271,12 @@ func TestEventsTruncationSignaled(t *testing.T) {
 	s := newTestServer(t, func(c *Config) { c.EventsBuffer = 4 })
 	mustReload(t, s) // cursor 1: generation.swap
 	for i := 0; i < 6; i++ {
-		s.Events().Publish(EvtShed, shedPayload{Count: 1})
+		s.Net("example").Events().Publish(EvtShed, shedPayload{Count: 1})
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	page := eventsPage(t, ts.URL+"/v1/events?since=1")
+	page := eventsPage(t, ts.URL+"/v1/nets/example/events?since=1")
 	if !page.Truncated {
 		t.Fatalf("since=1 with oldest=%d: truncated=false", page.Oldest)
 	}
@@ -288,7 +288,7 @@ func TestEventsTruncationSignaled(t *testing.T) {
 	}
 
 	// The watch stream synthesizes an explicit stream.truncated event.
-	frames, cancel := openWatch(t, ts.URL+"/v1/watch?since=1", "")
+	frames, cancel := openWatch(t, ts.URL+"/v1/nets/example/watch?since=1", "")
 	defer cancel()
 	f := nextFrame(t, frames, 5*time.Second, func(f sseFrame) bool { return f.comment == "" })
 	if f.event != string(EvtTruncated) {
@@ -318,16 +318,17 @@ func TestWatchHeartbeatAndResume(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	frames, cancel := openWatch(t, ts.URL+"/v1/watch", "")
+	frames, cancel := openWatch(t, ts.URL+"/v1/nets/example/watch", "")
 	nextFrame(t, frames, 5*time.Second, func(f sseFrame) bool { return f.event == string(EvtSwap) })
 	nextFrame(t, frames, 5*time.Second, func(f sseFrame) bool { return f.comment == "heartbeat" })
 	cancel()
 
 	// Publish two more events while disconnected, then resume from the
 	// swap event's cursor: both arrive, in order, nothing duplicated.
-	s.Events().Publish(EvtShed, shedPayload{Count: 3})
-	s.Events().Publish(EvtCachePressure, cachePressurePayload{Evicted: 2})
-	frames, cancel = openWatch(t, ts.URL+"/v1/watch", "1")
+	evts := s.Net("example").Events()
+	evts.Publish(EvtShed, shedPayload{Count: 3})
+	evts.Publish(EvtCachePressure, cachePressurePayload{Evicted: 2})
+	frames, cancel = openWatch(t, ts.URL+"/v1/nets/example/watch", "1")
 	defer cancel()
 	f := nextFrame(t, frames, 5*time.Second, func(f sseFrame) bool { return f.comment == "" })
 	if f.event != string(EvtShed) || f.id != "2" {
@@ -347,20 +348,21 @@ func TestWatchSubscriberDisconnect(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	frames, cancel := openWatch(t, ts.URL+"/v1/watch", "")
+	evts := s.Net("example").Events()
+	frames, cancel := openWatch(t, ts.URL+"/v1/nets/example/watch", "")
 	nextFrame(t, frames, 5*time.Second, func(f sseFrame) bool { return f.event == string(EvtSwap) })
-	if n := s.Events().Subscribers(); n != 1 {
+	if n := evts.Subscribers(); n != 1 {
 		t.Fatalf("subscribers while connected = %d, want 1", n)
 	}
 	cancel()
 	deadline := time.Now().Add(5 * time.Second)
-	for s.Events().Subscribers() != 0 {
+	for evts.Subscribers() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("subscription leaked after disconnect: %d live", s.Events().Subscribers())
+			t.Fatalf("subscription leaked after disconnect: %d live", evts.Subscribers())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if g := s.reg.Gauge(events.MetricSubscribers, lnet("default")).Value(); g != 0 {
+	if g := s.reg.Gauge(events.MetricSubscribers, lnet("example")).Value(); g != 0 {
 		t.Errorf("%s = %v after disconnect, want 0", events.MetricSubscribers, g)
 	}
 }
@@ -371,13 +373,14 @@ func TestWatchSubscriberDisconnect(t *testing.T) {
 func TestEventsOrderingUnderConcurrentReloads(t *testing.T) {
 	s := newTestServer(t, nil)
 	mustReload(t, s)
+	nw := s.Net("example")
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				if err := s.Reload(context.Background()); err != nil {
+				if err := nw.Reload(context.Background()); err != nil {
 					t.Errorf("reload: %v", err)
 				}
 			}
@@ -385,7 +388,7 @@ func TestEventsOrderingUnderConcurrentReloads(t *testing.T) {
 	}
 	wg.Wait()
 
-	evs, _, truncated := s.Events().Since(0, 0)
+	evs, _, truncated := nw.Events().Since(0, 0)
 	if truncated {
 		t.Fatal("default ring truncated 21 events")
 	}
@@ -428,7 +431,7 @@ func TestWatchDuringConcurrentReloads(t *testing.T) {
 	}
 	ws := make([]watcher, watchers)
 	for i := range ws {
-		frames, cancel := openWatch(t, ts.URL+"/v1/watch", "")
+		frames, cancel := openWatch(t, ts.URL+"/v1/nets/example/watch", "")
 		ws[i] = watcher{frames, cancel}
 		defer cancel()
 	}
@@ -439,7 +442,7 @@ func TestWatchDuringConcurrentReloads(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < reloadsEach; i++ {
-				if err := s.Reload(context.Background()); err != nil {
+				if err := s.Net("example").Reload(context.Background()); err != nil {
 					t.Errorf("reload: %v", err)
 				}
 			}
@@ -449,7 +452,7 @@ func TestWatchDuringConcurrentReloads(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
-			code, _, _ := get(t, ts.URL+"/v1/summary")
+			code, _, _ := get(t, ts.URL+"/v1/nets/example/summary")
 			if code != http.StatusOK {
 				t.Errorf("summary under reload churn: %d", code)
 			}
