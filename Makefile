@@ -1,14 +1,15 @@
 # Verification tiers. tier1 is the gate every PR must keep green — build,
-# the full test suite, the metriclint static check (metric naming rules
-# plus exactly-once event-type registration), and a build and vet of the
-# perfbench module, which imports internal packages (core, compress,
-# simroute, reach, whatif, pathway, parsecache, snapshot, telemetry)
-# from its layers replay, so a change that breaks it fails here rather
-# than on the next traced benchmark run; tier2
-# adds vet, the race detector over every package — that includes the
-# worker pools in core/experiments, the telemetry layer they share,
-# instance.Model's edge indexes under concurrent readers, and
-# the serve daemon's swap/shed/drain paths (with extra iteration-count
+# the full test suite, go vet over the root module, a formatting gate
+# that fails when gofmt -l lists any file, the metriclint static check
+# (metric naming rules plus exactly-once event-type registration), and a
+# build and vet of the perfbench module, which imports internal packages
+# (core, compress, simroute, reach, whatif, pathway, parsecache,
+# snapshot, telemetry) from its layers replay, so a change that breaks
+# it fails here rather than on the next traced benchmark run; tier2
+# repeats vet and adds the race detector over every package — that
+# includes the worker pools in core/experiments, the telemetry layer
+# they share, instance.Model's edge indexes under concurrent readers,
+# and the serve daemon's swap/shed/drain paths (with extra iteration-count
 # runs of the concurrent-queries-during-reload stresses, query cache on
 # and off, plus the fleet isolation stress proving a failing or slow
 # reload of one network never blocks another, and the ingest convergence
@@ -29,6 +30,9 @@ all: tier1 tier2 benchsmoke
 
 tier1:
 	go build ./... && go test ./...
+	go vet ./...
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 	go run ./tools/metriclint
 	go -C perfbench build ./... && go -C perfbench vet ./...
 

@@ -48,9 +48,10 @@
 // previous generation and published as structured events (one ring per
 // network, bounded by -events-buffer) that the events endpoint pages by
 // cursor and the watch endpoint streams live with -watch-heartbeat
-// keepalives; cursors are scoped per network. Every data-plane response
-// carries an X-Trace-Id (inbound W3C traceparent honored) resolvable at
-// /debug/traces/{id}; requests slower than -slow-query are logged,
+// keepalives; cursors are scoped per network. Every response carries an
+// X-Trace-Id (inbound W3C traceparent honored); only data-plane queries
+// are kept in the trace store, so only theirs resolve at
+// /debug/traces/{id}. Requests slower than -slow-query are logged,
 // counted, and published as query.slow events.
 //
 // Robustness model: queries run under a bounded per-network
@@ -58,15 +59,16 @@
 // Retry-After, and a query the cache cannot answer computes under a
 // per-request timeout (-request-timeout); a
 // panicking handler returns 500 and never kills the process; a failed
-// reload retries with backoff (-reload-retries, -reload-backoff) and,
+// reload attempt — an analysis error, or a panic anywhere before the
+// swap — retries with backoff (-reload-retries, -reload-backoff) and,
 // if it still fails, that network keeps serving its last-good design
 // with its readiness degraded — the rest of the fleet is untouched.
 // Fleet-wide (re)analysis runs through a bounded pool of
 // -reload-workers, so SIGHUP against a large corpus loads a few
 // networks at a time. SIGTERM/SIGINT drain in-flight requests for up to
-// -shutdown-grace before exit. If an *initial* analysis fails, the
-// daemon still comes up (healthz 200, that network's queries 503) so an
-// operator can fix the configs and POST its reload.
+// -shutdown-grace before exit. If an *initial* analysis fails, even by
+// panicking, the daemon still comes up (healthz 200, that network's
+// queries 503) so an operator can fix the configs and POST its reload.
 //
 // Caching: reloads are incremental — one content-addressed parse cache
 // (-parse-cache, entries; 0 disables) is shared by every network with
@@ -75,8 +77,9 @@
 // counts the sharing) and re-parsed only when their normalized content
 // changes. Each network's loaded generation fronts its query endpoints
 // with a response LRU (-query-cache, entries; negative disables) that a
-// reload swap invalidates wholesale. Reachability is precomputed at
-// load time, before the new generation is published.
+// reload swap invalidates wholesale. Each reload builds the new
+// generation's reachability and what-if analyses before publishing it,
+// so no query computes either.
 //
 // Continuous ingestion: -watch-configs polls every directory-backed
 // network's config source on a jittered interval and reloads on change;
@@ -102,8 +105,12 @@
 // network's loads). Faults are never armed unless this flag is given.
 //
 // Observability flags (-v/-vv, -log-format, -metrics, -pprof, -j,
-// -fail-fast, -timeout) behave as in cmd/rdesign; -timeout bounds each
-// analysis attempt, not the daemon's lifetime.
+// -fail-fast, -timeout) behave as in cmd/rdesign, except that the
+// daemon keeps span records only for data-plane queries, in its bounded
+// /debug/traces store: reload and control-plane stages feed only the
+// routinglens_stage_seconds histograms on /metrics, so its -v stage
+// table reads "no stages recorded". -timeout bounds each analysis
+// attempt, not the daemon's lifetime.
 package main
 
 import (

@@ -372,31 +372,30 @@ func (a *Analyzer) analyzeInputs(ctx context.Context, name string, inputs []file
 	} else {
 		var next atomic.Int64
 		var failed atomic.Bool
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				wctx, wspan := telemetry.StartSpan(pctx, "parse-worker")
-				defer wspan.End()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(inputs) || failed.Load() {
-						return
-					}
-					if err := ctx.Err(); err != nil {
-						wspan.Fail(err)
-						return
-					}
-					results[i] = a.parseInput(wctx, inputs[i])
-					if results[i].err != nil && a.failFast {
-						failed.Store(true)
-						return
-					}
+		worker := func() {
+			wctx, wspan := telemetry.StartSpan(pctx, "parse-worker")
+			defer wspan.End()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(inputs) || failed.Load() {
+					return
 				}
-			}()
+				if err := ctx.Err(); err != nil {
+					wspan.Fail(err)
+					return
+				}
+				results[i] = a.parseInput(wctx, inputs[i])
+				if results[i].err != nil && a.failFast {
+					failed.Store(true)
+					return
+				}
+			}
 		}
-		wg.Wait()
+		pool := make([]func(), workers)
+		for w := range pool {
+			pool[w] = worker
+		}
+		goAll(pool...)
 	}
 	if err := ctx.Err(); err != nil {
 		parseSpan.Fail(err)
@@ -586,15 +585,7 @@ func (a *Analyzer) Analyze(ctx context.Context, n *devmodel.Network) *Design {
 	}
 
 	if a.Parallelism() > 1 {
-		var wg sync.WaitGroup
-		for _, f := range []func(){procChain, addrStage, filterStage} {
-			wg.Add(1)
-			go func(f func()) {
-				defer wg.Done()
-				f()
-			}(f)
-		}
-		wg.Wait()
+		goAll(procChain, addrStage, filterStage)
 	} else {
 		procChain()
 		addrStage()
@@ -609,4 +600,32 @@ func (a *Analyzer) Analyze(ctx context.Context, n *devmodel.Network) *Design {
 		"instances", len(d.Instances.Instances),
 		"classification", d.Classification.String())
 	return d
+}
+
+// goAll runs every f on a goroutine of its own and waits for all of
+// them. A panic in one is re-raised on the caller's goroutine once all
+// have returned, so the caller's recover — a serving daemon's reload
+// attempt — sees a worker's panic as its own instead of the process
+// dying.
+func goAll(fs ...func()) {
+	var wg sync.WaitGroup
+	panics := make(chan any, len(fs))
+	for _, f := range fs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					panics <- p
+				}
+			}()
+			f()
+		}()
+	}
+	wg.Wait()
+	select {
+	case p := <-panics:
+		panic(p)
+	default:
+	}
 }

@@ -12,7 +12,6 @@ package reach
 
 import (
 	"sort"
-	"sync"
 
 	"routinglens/internal/addrspace"
 	"routinglens/internal/devmodel"
@@ -21,20 +20,18 @@ import (
 	"routinglens/internal/simroute"
 )
 
-// Analysis bundles the models needed for reachability queries. The
-// network-wide views (HasDefaultRoute, AdmittedExternalRoutes) are
-// memoized on first use: they walk every device through the simulator,
-// which on a large network costs far more than any single query, and
-// the underlying models never change after Analyze. Use by pointer.
+// Analysis bundles the models needed for reachability queries, plus the
+// two network-wide views (HasDefaultRoute, AdmittedExternalRoutes),
+// computed when the Analysis is built: they walk every device through
+// the simulator, which on a large network costs far more than any
+// single query, and the underlying models never change after Analyze.
 type Analysis struct {
 	Model *instance.Model
 	Sim   *simroute.Sim
 	Space *addrspace.Structure
 
-	defOnce sync.Once
-	def     bool
-	extOnce sync.Once
-	ext     []netaddr.Prefix
+	def bool
+	ext []netaddr.Prefix
 }
 
 // Analyze runs the control-plane simulation with the given external route
@@ -42,18 +39,37 @@ type Analysis struct {
 func Analyze(m *instance.Model, space *addrspace.Structure, external []simroute.ExternalRoute) *Analysis {
 	sim := simroute.New(m.Graph, external)
 	sim.Run()
-	return &Analysis{Model: m, Sim: sim, Space: space}
+	return AnalyzeReduced(m, sim, space)
 }
 
 // AnalyzeReduced prepares reachability queries for the full model from a
-// simulation that ran over a compressed (quotient) graph. The sim must
-// already have run and carry query aliases mapping collapsed devices and
+// simulation that already ran: Analyze's own, or one over a compressed
+// (quotient) graph carrying query aliases that map collapsed devices and
 // processes onto their class representatives (internal/compress sets
-// both up); the device walks below then iterate the full device list
+// both up). The device walks below then iterate the full device list
 // while every RIB lookup lands on a representative's table. Policy and
 // instance views read the full model directly.
 func AnalyzeReduced(full *instance.Model, sim *simroute.Sim, space *addrspace.Structure) *Analysis {
-	return &Analysis{Model: full, Sim: sim, Space: space}
+	a := &Analysis{Model: full, Sim: sim, Space: space}
+	def := netaddr.PrefixFrom(0, 0)
+	seen := make(map[netaddr.Prefix]bool)
+	for _, d := range full.Graph.Network.Devices {
+		// Under a quotient an aliased device answers from its
+		// representative's table, which the representative's own visit
+		// already covers.
+		if sim.Canonical(d) != d {
+			continue
+		}
+		a.def = a.def || sim.HasRoute(d, def)
+		for _, p := range sim.ExternalRoutesAt(d) {
+			if !seen[p] {
+				seen[p] = true
+				a.ext = append(a.ext, p)
+			}
+		}
+	}
+	sort.Slice(a.ext, func(i, j int) bool { return a.ext[i].Less(a.ext[j]) })
+	return a
 }
 
 // PolicyRow is one row of the paper's Table 2: a policy (ACL or route-map)
@@ -182,50 +198,13 @@ func (a *Analysis) BlockReachesBlock(src, dst netaddr.Prefix) bool {
 // HasDefaultRoute reports whether any router in the network learned a
 // default route (0.0.0.0/0) — the precondition for "reachability to the
 // Internet at large".
-func (a *Analysis) HasDefaultRoute() bool {
-	a.defOnce.Do(func() {
-		def := netaddr.PrefixFrom(0, 0)
-		for _, d := range a.Model.Graph.Network.Devices {
-			// Under a quotient an aliased device answers from its
-			// representative's table; for an any-device view the
-			// representative's visit already decided it.
-			if a.Sim.Canonical(d) != d {
-				continue
-			}
-			if a.Sim.HasRoute(d, def) {
-				a.def = true
-				return
-			}
-		}
-	})
-	return a.def
-}
+func (a *Analysis) HasDefaultRoute() bool { return a.def }
 
 // AdmittedExternalRoutes returns the external-origin prefixes that made it
 // into any router RIB — the routes the network's ingress policies allowed
-// in.
+// in. Callers get their own copy; the Analysis is shared across
+// concurrent queries.
 func (a *Analysis) AdmittedExternalRoutes() []netaddr.Prefix {
-	a.extOnce.Do(func() {
-		seen := make(map[netaddr.Prefix]bool)
-		var out []netaddr.Prefix
-		for _, d := range a.Model.Graph.Network.Devices {
-			// Aliased devices hold their representative's table; the union
-			// over representatives is the union over everyone.
-			if a.Sim.Canonical(d) != d {
-				continue
-			}
-			for _, p := range a.Sim.ExternalRoutesAt(d) {
-				if !seen[p] {
-					seen[p] = true
-					out = append(out, p)
-				}
-			}
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-		a.ext = out
-	})
-	// Callers get their own copy; the memoized slice is shared across
-	// concurrent queries.
 	return append([]netaddr.Prefix(nil), a.ext...)
 }
 

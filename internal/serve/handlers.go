@@ -241,46 +241,12 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request, nw *Networ
 		return
 	}
 	before := nw.cur.Load()
-	err := nw.reload(context.Background(), reloadReq{force: force, trigger: "manual"})
-	st := nw.cur.Load()
-	if err != nil {
-		var adm *AdmissionError
-		if errors.As(err, &adm) {
-			resp := map[string]any{
-				"error":      err.Error(),
-				"code":       codeDesignRejected,
-				"net":        nw.name,
-				"result":     "rejected",
-				"reasons":    adm.Reasons,
-				"quarantine": "/v1/nets/" + nw.name + "/quarantine",
-				"note":       "last-good design still serving; retry with ?force=1 to override",
-			}
-			if id := telemetry.TraceIDFrom(r.Context()); id != "" {
-				resp["trace_id"] = id
-			}
-			if st != nil {
-				resp["serving_seq"] = st.Seq
-			}
-			writeJSON(w, http.StatusUnprocessableEntity, resp)
-			return
-		}
-		resp := map[string]any{
-			"error":    err.Error(),
-			"code":     codeReloadFailed,
-			"net":      nw.name,
-			"result":   "failed",
-			"degraded": true,
-		}
-		if id := telemetry.TraceIDFrom(r.Context()); id != "" {
-			resp["trace_id"] = id
-		}
-		if st != nil {
-			resp["serving_seq"] = st.Seq
-			resp["note"] = "still serving the last-good design"
-		}
-		writeJSON(w, http.StatusInternalServerError, resp)
+	if err := nw.reload(context.Background(), reloadReq{force: force, trigger: "manual"}); err != nil {
+		status, resp := nw.reloadError(r, err)
+		writeJSON(w, status, resp)
 		return
 	}
+	st := nw.cur.Load()
 	// unchanged: the signature set matched the serving generation, so
 	// the reload kept it (no swap, caches stay warm).
 	result := "swapped"
@@ -294,6 +260,35 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request, nw *Networ
 		"result":    result,
 		"loaded_at": st.LoadedAt.UTC().Format(time.RFC3339),
 	})
+}
+
+// reloadError builds the answer to a reload or config push whose reload
+// returned err. Its "result" is "rejected" (422) when admission control
+// refused a cleanly analyzed candidate and the network is NOT degraded,
+// else "failed" (500): failReload has degraded the network. Either way
+// the last-good generation, if any, keeps serving.
+func (nw *Network) reloadError(r *http.Request, err error) (int, map[string]any) {
+	resp := map[string]any{"error": err.Error(), "net": nw.name}
+	if id := telemetry.TraceIDFrom(r.Context()); id != "" {
+		resp["trace_id"] = id
+	}
+	st := nw.cur.Load()
+	if st != nil {
+		resp["serving_seq"] = st.Seq
+	}
+	var adm *AdmissionError
+	if errors.As(err, &adm) {
+		resp["code"], resp["result"] = codeDesignRejected, "rejected"
+		resp["reasons"] = adm.Reasons
+		resp["quarantine"] = "/v1/nets/" + nw.name + "/quarantine"
+		resp["note"] = "last-good design still serving; retry with ?force=1 to override"
+		return http.StatusUnprocessableEntity, resp
+	}
+	resp["code"], resp["result"], resp["degraded"] = codeReloadFailed, "failed", true
+	if st != nil {
+		resp["note"] = "still serving the last-good design"
+	}
+	return http.StatusInternalServerError, resp
 }
 
 // summaryResponse is the summary endpoint's JSON body.
@@ -391,7 +386,7 @@ type reachResponse struct {
 }
 
 func (s *Server) handleReach(w http.ResponseWriter, r *http.Request, _ *Network, st *State, q Query) {
-	an := st.Reach()
+	an := st.Reach
 	resp := reachResponse{Seq: st.Seq}
 	if q.HasBlocks {
 		reachable := an.BlockReachesBlock(q.Src, q.Dst)
@@ -423,7 +418,7 @@ type whatifResponse struct {
 const maxWhatifEntries = 100
 
 func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request, _ *Network, st *State, q Query) {
-	wa := st.Whatif()
+	wa := st.Whatif
 	if q.Format == "text" {
 		writeText(w, wa.Summary())
 		return

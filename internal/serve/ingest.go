@@ -169,46 +169,13 @@ func (s *Server) handleConfigs(w http.ResponseWriter, r *http.Request, nw *Netwo
 	if promoted == "" {
 		store.Discard(staging)
 	}
-	st := nw.cur.Load()
 	if rerr != nil {
-		var adm *AdmissionError
-		if errors.As(rerr, &adm) {
-			pushResult("rejected")
-			resp := map[string]any{
-				"error":      rerr.Error(),
-				"code":       codeDesignRejected,
-				"net":        nw.name,
-				"result":     "rejected",
-				"reasons":    adm.Reasons,
-				"quarantine": "/v1/nets/" + nw.name + "/quarantine",
-				"note":       "last-good design still serving; retry with ?force=1 to override",
-			}
-			if id := telemetry.TraceIDFrom(r.Context()); id != "" {
-				resp["trace_id"] = id
-			}
-			if st != nil {
-				resp["serving_seq"] = st.Seq
-			}
-			writeJSON(w, http.StatusUnprocessableEntity, resp)
-			return
-		}
-		pushResult("failed")
-		resp := map[string]any{
-			"error":  rerr.Error(),
-			"code":   codeReloadFailed,
-			"net":    nw.name,
-			"result": "failed",
-		}
-		if id := telemetry.TraceIDFrom(r.Context()); id != "" {
-			resp["trace_id"] = id
-		}
-		if st != nil {
-			resp["serving_seq"] = st.Seq
-			resp["note"] = "still serving the last-good design"
-		}
-		writeJSON(w, http.StatusInternalServerError, resp)
+		status, resp := nw.reloadError(r, rerr)
+		pushResult(resp["result"].(string))
+		writeJSON(w, status, resp)
 		return
 	}
+	st := nw.cur.Load()
 	result := "swapped"
 	if promoted == "" {
 		// The staged snapshot's signature set matched the serving

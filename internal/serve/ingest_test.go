@@ -171,6 +171,9 @@ func TestPushSwapsGeneration(t *testing.T) {
 	if got := m["seq"].(float64); got != 2 {
 		t.Errorf("push: seq = %v, want 2", got)
 	}
+	if st := s.Net("push").State(); st.Reach == nil || st.Whatif == nil {
+		t.Errorf("pushed generation published without its analyses: reach nil %v, whatif nil %v", st.Reach == nil, st.Whatif == nil)
+	}
 	code, sum, _ := get(t, ts.URL+"/v1/nets/push/summary")
 	if code != http.StatusOK || sum["routers"].(float64) != 7 {
 		t.Fatalf("post-push summary: got %d routers=%v, want 200/7", code, sum["routers"])
@@ -584,6 +587,53 @@ func TestReloadResponseSchema(t *testing.T) {
 		if got := s.reg.Counter(MetricReloads, lnet("push"), telemetry.L("result", result)).Value(); got != want {
 			t.Errorf("reloads_total{result=%s} = %v, want %v", result, got, want)
 		}
+	}
+}
+
+// TestFailedPushResponse pins the body of a push whose reload fails —
+// here its promotion into the generation chain: the reload_failed
+// envelope a failed POST /reload answers, "degraded" included, while
+// the last-good generation keeps serving.
+func TestFailedPushResponse(t *testing.T) {
+	s, dir := newIngestServer(t, func(c *Config) {
+		c.Faults = faultinject.New(1, faultinject.Rule{Site: ingest.SitePromote, Kind: faultinject.KindError, Count: 1})
+	})
+	mustReload(t, s)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	files := dirFiles(t, dir)
+	files["r7.cfg"] = "hostname r7\n"
+	code, m := postBody(t, ts.URL+"/v1/nets/push/configs", archiveOf(t, files))
+	if code != http.StatusInternalServerError {
+		t.Fatalf("failing push: got %d, want 500 (%v)", code, m)
+	}
+	want := map[string]any{
+		"code":        codeReloadFailed,
+		"net":         "push",
+		"result":      "failed",
+		"degraded":    true,
+		"serving_seq": float64(1),
+		"note":        "still serving the last-good design",
+	}
+	for k, v := range want {
+		if m[k] != v {
+			t.Errorf("failed push: %s = %v, want %v", k, m[k], v)
+		}
+	}
+	for _, k := range []string{"error", "trace_id"} {
+		if v, _ := m[k].(string); v == "" {
+			t.Errorf("failed push: missing %s in %v", k, m)
+		}
+	}
+	if len(m) != len(want)+2 {
+		t.Errorf("failed push body's keys differ from the reload_failed envelope's: %v", m)
+	}
+	if got := s.reg.Counter(ingest.MetricPushes, lnet("push"), telemetry.L("result", "failed")).Value(); got != 1 {
+		t.Errorf("pushes_total{result=failed} = %d, want 1", got)
+	}
+	if !s.Net("push").Degraded() {
+		t.Error("network not degraded after a failed push")
 	}
 }
 

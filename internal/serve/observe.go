@@ -87,8 +87,11 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// handleTrace serves one trace by ID: /debug/traces/{id}, the target
-// every X-Trace-Id response header and slow-query event resolves at.
+// handleTrace serves one trace by ID: /debug/traces/{id}. Only
+// data-plane queries (summary, pathway, reach, whatif) reach the trace
+// store, so their X-Trace-Id and a query.slow event's trace ID resolve
+// here while the bounded store holds them; the X-Trace-Id of a
+// control-plane or catch-all response answers 404.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if !telemetry.ValidTraceID(id) {

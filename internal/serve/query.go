@@ -60,7 +60,7 @@ func ParseQuery(endpoint, rawQuery string) (Query, error) {
 	for _, k := range keys {
 		vs := values[k]
 		if !allowed[k] {
-			return Query{}, fmt.Errorf("unknown parameter %q for /v1/%s", k, endpoint)
+			return Query{}, fmt.Errorf("unknown parameter %q for the %s endpoint", k, endpoint)
 		}
 		if len(vs) != 1 {
 			return Query{}, fmt.Errorf("parameter %q given %d times, want once", k, len(vs))

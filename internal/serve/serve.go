@@ -2,7 +2,9 @@
 // cmd/rlensd: it analyzes one or many configuration directories, keeps
 // each network's result behind an atomically swappable "last-good
 // design" pointer, and answers pathway/reachability/what-if/summary
-// queries over HTTP at /v1/nets/<net>/....
+// queries over HTTP at /v1/nets/<net>/.... A design generation (State)
+// is one immutable value built whole before it is published: its
+// reachability and what-if analyses included.
 //
 // The robustness properties are the point of the package:
 //
@@ -13,10 +15,11 @@
 //     unboundedly, and every query the cache cannot answer computes
 //     under a per-request timeout.
 //   - Reload (POST /v1/nets/<net>/reload or SIGHUP) re-analyzes with
-//     retry and exponential backoff; if every attempt fails that
-//     network keeps serving its last-good design and only its
-//     readiness degrades. Networks are isolated: a failing or slow
-//     reload of one never blocks queries against another.
+//     retry and exponential backoff; a panic anywhere in an attempt is
+//     that attempt's error. If every attempt fails that network keeps
+//     serving its last-good design and only its readiness degrades.
+//     Networks are isolated: a failing or slow reload of one never
+//     blocks queries against another.
 //   - Analysis runs through a bounded fleet-wide worker pool, so a
 //     SIGHUP against a large corpus re-analyzes a few networks at a
 //     time instead of all at once.
@@ -202,70 +205,24 @@ type Config struct {
 	Faults *faultinject.Injector
 }
 
-// State is one immutable analysis generation. The server swaps whole
-// *State pointers, so a query sees one consistent design from first byte
-// to last even while a reload lands. Reachability is built before the
-// generation is published, whether the design was analyzed or restored
-// from a snapshot; survivability is computed on first use. Each is
-// computed once per generation.
+// State is one immutable analysis generation, built whole by the reload
+// attempt that publishes it: the analysis result, its sequence number and
+// load time, and the reachability and survivability analyses the reach
+// and whatif endpoints answer from. The server swaps whole *State
+// pointers, so a query sees one consistent design from first byte to
+// last even while a reload lands.
 type State struct {
 	Res      *core.Result
 	Seq      int64
 	LoadedAt time.Time
-
-	reachOnce  sync.Once
-	reached    *reach.Analysis
-	whatifOnce sync.Once
-	whatifed   *whatif.Analysis
+	Reach    *reach.Analysis
+	Whatif   *whatif.Analysis
 }
 
-// Reach returns the state's reachability analysis, computing it on first
-// use with a default route injected at every external peer (the same
-// injection rdesign -trace uses). On the daemon's serving path this is
-// only a fallback: Reload precomputes the analysis before publishing the
-// generation, so queries find it already resident.
-func (st *State) Reach() *reach.Analysis {
-	st.reachOnce.Do(func() { st.reached = st.computeReach() })
-	return st.reached
-}
-
-// computeReach is the pure reachability computation shared by the lazy
-// Reach path and the eager precompute.
-func (st *State) computeReach() *reach.Analysis {
-	return st.Res.Design.Reachability([]simroute.ExternalRoute{{Prefix: netaddr.PrefixFrom(0, 0)}})
-}
-
-// precomputeReach eagerly builds the admitted-external reachability view
-// — the ~100x-costlier-than-anything-else analysis that used to run
-// lazily inside the first /v1 reach request of every generation, where
-// it monopolized limiter slots and shed load. Running it here, before
-// the generation is published, keeps the request path allocation-cheap.
-// The computation happens outside the sync.Once on purpose: a panic
-// inside Once.Do would mark the Once done with a nil result and poison
-// every later Reach() of the generation, whereas this way a panicking
-// precompute (e.g. a pathological design) just logs and degrades back
-// to the lazy path.
-func (st *State) precomputeReach(log *slog.Logger) {
-	defer func() {
-		if r := recover(); r != nil {
-			log.Warn("reach precompute panicked; falling back to lazy computation",
-				"seq", st.Seq, "panic", fmt.Sprint(r))
-		}
-	}()
-	an := st.computeReach()
-	// Warm the network-wide views too: they walk every device through
-	// the simulator, and the handler reads them on every paramless
-	// reach query.
-	an.HasDefaultRoute()
-	an.AdmittedExternalRoutes()
-	st.reachOnce.Do(func() { st.reached = an })
-}
-
-// Whatif returns the state's survivability analysis, computed on first use.
-func (st *State) Whatif() *whatif.Analysis {
-	st.whatifOnce.Do(func() { st.whatifed = st.Res.Design.Survivability() })
-	return st.whatifed
-}
+// defaultRoute is the injection every generation's reachability analysis
+// runs under: a default route at every external peer, as rdesign -trace
+// injects it.
+var defaultRoute = []simroute.ExternalRoute{{Prefix: netaddr.PrefixFrom(0, 0)}}
 
 // reloadStatus records the outcome of the most recent failed reload, for
 // readiness probes and logs.
@@ -620,8 +577,9 @@ type reloadReq struct {
 }
 
 // Reload re-analyzes the network's configuration and swaps the new
-// design in atomically. A failed attempt is retried ReloadRetries times
-// with exponential backoff; if every attempt fails, the network keeps
+// design in atomically. A failed attempt — an analysis error, or a panic
+// anywhere before the swap — is retried ReloadRetries times with
+// exponential backoff; if every attempt fails, the network keeps
 // serving its previous last-good design, marks itself degraded (visible
 // on /readyz), and returns the last error. When Config.Admission is
 // set, a candidate that analyzed cleanly but trips a guardrail is
@@ -644,133 +602,164 @@ func (nw *Network) reload(ctx context.Context, req reloadReq) error {
 		dir = nw.activeDirPath()
 	}
 	lnet := telemetry.L("net", nw.name)
-	var lastErr error
 	backoff := s.cfg.ReloadBackoff
-	for attempt := 0; attempt <= s.cfg.ReloadRetries; attempt++ {
-		if attempt > 0 {
-			s.log.Warn("load attempt failed; backing off",
-				"net", nw.name, "attempt", attempt, "backoff", backoff, "error", lastErr)
-			t := time.NewTimer(backoff)
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				s.reg.Counter(MetricReloads, lnet, telemetry.L("result", "error")).Inc()
-				return nw.failReload(ctx.Err())
-			}
-			backoff *= 2
-		}
-		start := time.Now()
-		res, err := nw.load(ctx, dir)
+	// Only a reload swaps the pointer, and reloadMu serializes them, so
+	// prev stays the serving generation until this reload swaps.
+	prev := nw.cur.Load()
+	var (
+		start    time.Time
+		st       *State
+		diff     *designdiff.Diff
+		analyses time.Duration
+	)
+	for attempt := 0; ; attempt++ {
+		var err error
+		start = time.Now()
+		st, diff, analyses, err = nw.attempt(ctx, dir, req, prev)
 		if err == nil {
-			prev := nw.cur.Load()
-			if prev != nil && res.SnapshotKey != "" &&
-				prev.Res.SnapshotKey == res.SnapshotKey {
-				// The signature set is unchanged: equal content keys mean the
-				// new analysis is of byte-identical input, so the serving
-				// generation — with its warm reach views and query cache —
-				// already answers it. Keep it; swapping would only pay the
-				// reach precompute and cache purge to arrive at the same
-				// answers. A pushed staging dir is simply discarded by the
-				// caller (promote never runs).
-				wasDegraded := nw.degraded.Swap(false)
-				nw.lastReloadNS.Store(int64(time.Since(start)))
-				s.reg.Counter(MetricReloads, lnet, telemetry.L("result", "unchanged")).Inc()
-				s.reg.Gauge(MetricNetReady, lnet).Set(1)
-				s.observeCrossNetHits()
-				if wasDegraded {
-					nw.emit(EvtReadyRecovered, recoveredPayload{Seq: prev.Seq})
-				}
-				s.log.Info("design unchanged; keeping warm generation",
-					"net", nw.name, "seq", prev.Seq,
-					"elapsed", res.Elapsed.Round(time.Millisecond))
-				return nil
-			}
-			// Admission gate: the candidate analyzed, but is it safe to
-			// serve? Compare against the serving design; a rejected
-			// candidate is quarantined and the reload fails typed —
-			// without degrading, because the last-good design is intact.
-			var diff *designdiff.Diff
-			if prev != nil {
-				diff = res.Design.DiffFrom(prev.Res.Design)
-			}
-			if pol := s.cfg.Admission; pol.enabled() && prev != nil && !req.force {
-				if reasons, loss, errDiags := pol.evaluate(diff, res); len(reasons) > 0 {
-					rec := newQuarantineRecord(req.trigger, reasons, loss, errDiags, prev.Seq)
-					nw.quarantine.Store(rec)
-					s.reg.Counter(MetricReloads, lnet, telemetry.L("result", "rejected")).Inc()
-					nw.emit(EvtDesignRejected, rejectedPayload{
-						Trigger: req.trigger, Reasons: reasons, Loss: loss,
-						ErrorDiags: errDiags, ServingSeq: prev.Seq,
-					})
-					s.log.Warn("design rejected by admission control; last-good keeps serving",
-						"net", nw.name, "trigger", req.trigger,
-						"reasons", strings.Join(reasons, "; "), "serving_seq", prev.Seq)
-					return &AdmissionError{Reasons: reasons, Record: rec}
-				}
-			}
-			st := &State{Res: res, Seq: nw.seq.Add(1), LoadedAt: time.Now()}
-			pstart := time.Now()
-			// Precompute the expensive per-generation analyses BEFORE the
-			// pointer swap, snapshot restores included: queries keep hitting
-			// the previous generation's resident view until the new one is
-			// fully warm, so a reload never exposes a cold (sheddable) reach
-			// window.
-			st.precomputeReach(s.log)
-			precomputeDur := time.Since(pstart)
-			if req.promote != nil {
-				// Pushed configs: move the admitted staging dir into the
-				// generation chain before the swap, so the swapped-in design
-				// and the active directory change together or not at all.
-				gen, perr := req.promote()
-				if perr != nil {
-					s.reg.Counter(MetricReloads, lnet, telemetry.L("result", "error")).Inc()
-					return nw.failReload(fmt.Errorf("promoting pushed configs: %w", perr))
-				}
-				nw.setActiveDir(gen)
-				nw.emit(EvtConfigPushed, configPushedPayload{
-					Generation: filepath.Base(gen), Files: req.pushFiles, Bytes: req.pushBytes,
-				})
-			}
-			nw.cur.Store(st)
-			// Every older generation's cached responses are unreachable now
-			// (keys embed the seq); purge them rather than waiting for LRU
-			// pressure to age them out.
-			nw.qc.purge()
-			nw.qcEntries.Set(0)
-			nw.quarantine.Store(nil)
-			wasDegraded := nw.degraded.Swap(false)
-			nw.lastReloadNS.Store(int64(time.Since(start)))
-			s.reg.Counter(MetricReloads, lnet, telemetry.L("result", "ok")).Inc()
-			s.reg.Gauge(MetricDesignSeq, lnet).Set(float64(st.Seq))
-			s.reg.Gauge(MetricNetReady, lnet).Set(1)
-			s.observeCrossNetHits()
-			// Swap + design-diff events go out after the swap, so a
-			// watcher reacting to them queries the generation announced.
-			nw.emitSwapEvents(prev, st, diff)
-			if wasDegraded {
-				nw.emit(EvtReadyRecovered, recoveredPayload{Seq: st.Seq})
-			}
-			s.log.Info("design loaded",
-				"net", nw.name,
-				"seq", st.Seq,
-				"trigger", req.trigger,
-				"network", res.Design.Network.Name,
-				"routers", len(res.Design.Network.Devices),
-				"instances", len(res.Design.Instances.Instances),
-				"skipped_files", len(res.Skipped),
-				"files_reparsed", int64(s.reg.Gauge(core.MetricFilesReparsed).Value()),
-				"reach_precompute", precomputeDur.Round(time.Millisecond),
-				"elapsed", res.Elapsed.Round(time.Millisecond))
-			return nil
-		}
-		lastErr = err
-		s.reg.Counter(MetricReloads, lnet, telemetry.L("result", "error")).Inc()
-		if ctx.Err() != nil {
 			break
 		}
+		var adm *AdmissionError
+		if errors.As(err, &adm) {
+			return err
+		}
+		s.reg.Counter(MetricReloads, lnet, telemetry.L("result", "error")).Inc()
+		if attempt == s.cfg.ReloadRetries || ctx.Err() != nil {
+			return nw.failReload(err)
+		}
+		s.log.Warn("load attempt failed; backing off",
+			"net", nw.name, "attempt", attempt+1, "backoff", backoff, "error", err)
+		t := time.NewTimer(backoff)
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			t.Stop()
+			s.reg.Counter(MetricReloads, lnet, telemetry.L("result", "error")).Inc()
+			return nw.failReload(ctx.Err())
+		}
+		backoff *= 2
 	}
-	return nw.failReload(lastErr)
+	if st == prev {
+		wasDegraded := nw.degraded.Swap(false)
+		nw.lastReloadNS.Store(int64(time.Since(start)))
+		s.reg.Counter(MetricReloads, lnet, telemetry.L("result", "unchanged")).Inc()
+		s.reg.Gauge(MetricNetReady, lnet).Set(1)
+		s.observeCrossNetHits()
+		if wasDegraded {
+			nw.emit(EvtReadyRecovered, recoveredPayload{Seq: prev.Seq})
+		}
+		s.log.Info("design unchanged; keeping warm generation",
+			"net", nw.name, "seq", prev.Seq,
+			"elapsed", time.Since(start).Round(time.Millisecond))
+		return nil
+	}
+	if req.promote != nil {
+		// Pushed configs: move the admitted staging dir into the
+		// generation chain before the swap, so the swapped-in design
+		// and the active directory change together or not at all.
+		gen, perr := req.promote()
+		if perr != nil {
+			s.reg.Counter(MetricReloads, lnet, telemetry.L("result", "error")).Inc()
+			return nw.failReload(fmt.Errorf("promoting pushed configs: %w", perr))
+		}
+		nw.setActiveDir(gen)
+		nw.emit(EvtConfigPushed, configPushedPayload{
+			Generation: filepath.Base(gen), Files: req.pushFiles, Bytes: req.pushBytes,
+		})
+	}
+	nw.cur.Store(st)
+	// Every older generation's cached responses are unreachable now
+	// (keys embed the seq); purge them rather than waiting for LRU
+	// pressure to age them out.
+	nw.qc.purge()
+	nw.qcEntries.Set(0)
+	nw.quarantine.Store(nil)
+	wasDegraded := nw.degraded.Swap(false)
+	nw.lastReloadNS.Store(int64(time.Since(start)))
+	s.reg.Counter(MetricReloads, lnet, telemetry.L("result", "ok")).Inc()
+	s.reg.Gauge(MetricDesignSeq, lnet).Set(float64(st.Seq))
+	s.reg.Gauge(MetricNetReady, lnet).Set(1)
+	s.observeCrossNetHits()
+	// Swap + design-diff events go out after the swap, so a watcher
+	// reacting to them queries the generation announced.
+	nw.emitSwapEvents(prev, st, diff)
+	if wasDegraded {
+		nw.emit(EvtReadyRecovered, recoveredPayload{Seq: st.Seq})
+	}
+	res := st.Res
+	s.log.Info("design loaded",
+		"net", nw.name,
+		"seq", st.Seq,
+		"trigger", req.trigger,
+		"network", res.Design.Network.Name,
+		"routers", len(res.Design.Network.Devices),
+		"instances", len(res.Design.Instances.Instances),
+		"skipped_files", len(res.Skipped),
+		"files_reparsed", int64(s.reg.Gauge(core.MetricFilesReparsed).Value()),
+		"reach_whatif", analyses.Round(time.Millisecond),
+		"elapsed", res.Elapsed.Round(time.Millisecond))
+	return nil
+}
+
+// attempt is one reload attempt up to the swap; nothing it does is
+// visible to queries. It analyzes dir and, unless the input is
+// unchanged (it then returns prev), diffs the design against prev, runs
+// the admission gate, and builds the new generation whole: its reach
+// and what-if analyses, whose build time it also returns, are computed
+// here, snapshot restores included, so queries keep answering from
+// prev until the new generation is complete. It is the reload's one
+// panic boundary: a panic anywhere in it (a fault hook, a parser or
+// stage — core re-raises its workers' panics here — the diff,
+// admission, reach or what-if) becomes the attempt's error and takes
+// the same retry, backoff and failReload path as an analysis error.
+func (nw *Network) attempt(ctx context.Context, dir string, req reloadReq, prev *State) (
+	st *State, diff *designdiff.Diff, analyses time.Duration, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			st, diff, err = nil, nil, fmt.Errorf("reload attempt panicked: %v", p)
+		}
+	}()
+	res, err := nw.load(ctx, dir)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	if prev != nil && res.SnapshotKey != "" && prev.Res.SnapshotKey == res.SnapshotKey {
+		// The signature set is unchanged: equal content keys mean the
+		// new analysis is of byte-identical input, so the serving
+		// generation — with its warm analyses and query cache — already
+		// answers it. Keep it; swapping would only rebuild reach and
+		// what-if and purge the cache to arrive at the same answers. A
+		// pushed staging dir is simply discarded by the caller (promote
+		// never runs).
+		return prev, nil, 0, nil
+	}
+	// Admission gate: the candidate analyzed, but is it safe to serve?
+	// Compare against the serving design; a rejected candidate is
+	// quarantined and the reload fails typed — without degrading,
+	// because the last-good design is intact.
+	if prev != nil {
+		diff = res.Design.DiffFrom(prev.Res.Design)
+	}
+	s := nw.s
+	if pol := s.cfg.Admission; pol.enabled() && prev != nil && !req.force {
+		if reasons, loss, errDiags := pol.evaluate(diff, res); len(reasons) > 0 {
+			rec := newQuarantineRecord(req.trigger, reasons, loss, errDiags, prev.Seq)
+			nw.quarantine.Store(rec)
+			s.reg.Counter(MetricReloads, telemetry.L("net", nw.name), telemetry.L("result", "rejected")).Inc()
+			nw.emit(EvtDesignRejected, rejectedPayload{
+				Trigger: req.trigger, Reasons: reasons, Loss: loss,
+				ErrorDiags: errDiags, ServingSeq: prev.Seq,
+			})
+			s.log.Warn("design rejected by admission control; last-good keeps serving",
+				"net", nw.name, "trigger", req.trigger,
+				"reasons", strings.Join(reasons, "; "), "serving_seq", prev.Seq)
+			return nil, nil, 0, &AdmissionError{Reasons: reasons, Record: rec}
+		}
+	}
+	built := time.Now()
+	an, wa := res.Design.Reachability(defaultRoute), res.Design.Survivability()
+	analyses = time.Since(built)
+	return &State{Res: res, Seq: nw.seq.Add(1), LoadedAt: time.Now(), Reach: an, Whatif: wa}, diff, analyses, nil
 }
 
 // failReload records a given-up reload: the network degrades, keeps the

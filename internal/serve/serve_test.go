@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -87,6 +88,9 @@ func mustReload(t *testing.T, s *Server) {
 func TestEndpointsServeDesign(t *testing.T) {
 	s := newTestServer(t, nil)
 	mustReload(t, s)
+	if st := soleNet(t, s).State(); st.Reach == nil || st.Whatif == nil {
+		t.Fatalf("fresh generation published without its analyses: reach nil %v, whatif nil %v", st.Reach == nil, st.Whatif == nil)
+	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -316,6 +320,99 @@ func TestReloadFailureKeepsLastGood(t *testing.T) {
 	code, m, _ = get(t, ts.URL+"/v1/nets/example/summary")
 	if code != http.StatusOK || m["seq"].(float64) != 2 {
 		t.Errorf("summary after recovery: got %d seq=%v, want 200 seq=2", code, m["seq"])
+	}
+}
+
+// TestPanickingReloadKeepsLastGood: a panic anywhere in a reload attempt
+// is that attempt's error, not the end of the process. The reload fails
+// after its retry, the network turns degraded with a reload.failed
+// event, and the previous generation keeps answering every endpoint.
+// The panic comes from the analyze fault site, or from a Load hook's
+// design that panics in the design diff or in the reach build.
+func TestPanickingReloadKeepsLastGood(t *testing.T) {
+	good, err := core.NewAnalyzer().AnalyzeDirResult(
+		telemetry.WithRegistry(context.Background(), telemetry.NewRegistry()), "example", exampleDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// loadThen serves the good design on the first load and broken()'s
+	// on every later one.
+	loadThen := func(broken func() *core.Design) func(*Config) {
+		return func(c *Config) {
+			loads := 0
+			c.Nets = []NetSource{{Name: "example", Load: func(context.Context) (*core.Result, error) {
+				if loads++; loads == 1 {
+					return good, nil
+				}
+				return &core.Result{Design: broken()}, nil
+			}}}
+		}
+	}
+	cases := []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"analyze fault", func(c *Config) {
+			// The first load succeeds; the reload attempt and its retry
+			// panic at the analyzer boundary.
+			c.Faults = faultinject.New(1, faultinject.Rule{
+				Site: SiteAnalyze, Kind: faultinject.KindPanic, After: 1, Count: 2,
+			})
+		}},
+		{"design diff", loadThen(func() *core.Design {
+			// No instance model: the diff against the serving design
+			// dereferences it.
+			d := *good.Design
+			d.Instances = nil
+			return &d
+		})},
+		{"reach build", loadThen(func() *core.Design {
+			// A nil process-graph node: the diff never reads graph
+			// nodes, the simulator does.
+			g := *good.Design.Instances.Graph
+			g.Nodes = append(g.Nodes[:len(g.Nodes):len(g.Nodes)], nil)
+			m := *good.Design.Instances
+			m.Graph = &g
+			d := *good.Design
+			d.Instances = &m
+			return &d
+		})},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newTestServer(t, func(c *Config) {
+				c.ReloadRetries = 1
+				tc.mutate(c)
+			})
+			mustReload(t, s)
+			nw := soleNet(t, s)
+			if err := nw.Reload(context.Background()); err == nil || !strings.Contains(err.Error(), "panicked") {
+				t.Fatalf("panicking reload: err = %v, want the attempt's panic", err)
+			}
+			if !nw.Degraded() {
+				t.Error("network not degraded after a panicking reload")
+			}
+			if got := s.reg.Counter(MetricReloads, lnet("example"), telemetry.L("result", "error")).Value(); got != 2 {
+				t.Errorf("reloads_total{result=error} = %d, want 2 (attempt and retry)", got)
+			}
+			evs, _, _ := nw.Events().Since(0, 0)
+			if len(evs) == 0 || evs[len(evs)-1].Type != EvtReloadFailed {
+				t.Errorf("last event is not %s: %v", EvtReloadFailed, evs)
+			}
+			if st := nw.State(); st == nil || st.Seq != 1 || st.Reach == nil || st.Whatif == nil {
+				t.Fatal("after the failed reload the network does not serve seq 1 with its analyses")
+			}
+
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			for _, p := range []string{"summary", "pathway?router=r1", "reach",
+				"reach?src=10.10.1.0/24&dst=10.10.2.0/24", "whatif"} {
+				code, m, _ := get(t, ts.URL+"/v1/nets/example/"+p)
+				if code != http.StatusOK || m["seq"] != float64(1) {
+					t.Errorf("%s while degraded: got %d seq=%v, want 200 from last-good seq 1", p, code, m["seq"])
+				}
+			}
+		})
 	}
 }
 
@@ -549,32 +646,6 @@ func TestConcurrentQueriesDuringReload(t *testing.T) {
 	}
 	if st := soleNet(t, s).State(); st == nil || st.Seq != 6 {
 		t.Errorf("final generation = %v, want 6", st)
-	}
-}
-
-// TestStateLazyAnalysesComputedOnce: Reach and Whatif memoize per
-// generation even under concurrent first use.
-func TestStateLazyAnalysesComputedOnce(t *testing.T) {
-	s := newTestServer(t, nil)
-	mustReload(t, s)
-	st := soleNet(t, s).State()
-	var wg sync.WaitGroup
-	reaches := make([]any, 16)
-	for i := range reaches {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			reaches[i] = st.Reach()
-		}(i)
-	}
-	wg.Wait()
-	for i := 1; i < len(reaches); i++ {
-		if reaches[i] != reaches[0] {
-			t.Fatalf("Reach() returned distinct analyses (%d vs 0)", i)
-		}
-	}
-	if st.Whatif() != st.Whatif() {
-		t.Fatal("Whatif() not memoized")
 	}
 }
 

@@ -149,8 +149,9 @@ func TestSnapshotColdStartAndUnchangedReload(t *testing.T) {
 }
 
 // TestSnapshotColdStartWarmsReach: a generation restored from a snapshot,
-// like every other, has its reach analysis built before the reload that
-// publishes it returns, so no query pays for or races a simulation.
+// like every other, has its reach and what-if analyses built before the
+// reload that publishes it returns, so no query pays for or races a
+// simulation.
 func TestSnapshotColdStartWarmsReach(t *testing.T) {
 	dir := copyCorpus(t, "snapwarm")
 	snapDir := t.TempDir()
@@ -162,8 +163,8 @@ func TestSnapshotColdStartWarmsReach(t *testing.T) {
 	if !st.Res.FromSnapshot {
 		t.Fatal("cold start did not restore from the snapshot")
 	}
-	if st.reached == nil {
-		t.Error("reach analysis not resident when the reload returned")
+	if st.Reach == nil || st.Whatif == nil {
+		t.Errorf("analyses not resident when the reload returned: reach nil %v, whatif nil %v", st.Reach == nil, st.Whatif == nil)
 	}
 }
 

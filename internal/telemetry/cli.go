@@ -53,9 +53,10 @@ type CLI struct {
 }
 
 // NewCLI creates the flag bundle for the named program, bound to the
-// default registry and collector.
+// default registry and a span collector of its own, which Context
+// attaches and Finish reports.
 func NewCLI(prog string) *CLI {
-	return &CLI{prog: prog, registry: Default, collector: DefaultCollector}
+	return &CLI{prog: prog, registry: Default, collector: NewCollector()}
 }
 
 // RegisterFlags declares the observability flags on fs.
@@ -71,14 +72,16 @@ func (c *CLI) RegisterFlags(fs *flag.FlagSet) {
 	fs.DurationVar(&c.Timeout, "timeout", 0, "overall analysis deadline, e.g. 30s (0 = none); on expiry the run cancels cleanly and reports partial diagnostics")
 }
 
-// Context builds the run's root context: cancelled on SIGINT — so an
-// interrupted run unwinds through its deferred telemetry flush and can
-// print partial diagnostics instead of dying mid-write — and bounded by
-// -timeout when one was given. Defer the returned stop function from
-// main; after cancellation a second SIGINT falls back to the default
-// abrupt exit, so a wedged run can still be killed.
+// Context builds the run's root context: it carries the CLI's span
+// collector, so the stage timings Finish prints cover every span
+// started under it; it is cancelled on SIGINT — so an interrupted run
+// unwinds through its deferred telemetry flush and can print partial
+// diagnostics instead of dying mid-write — and bounded by -timeout when
+// one was given. Defer the returned stop function from main; after
+// cancellation a second SIGINT falls back to the default abrupt exit,
+// so a wedged run can still be killed.
 func (c *CLI) Context() (context.Context, context.CancelFunc) {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := signal.NotifyContext(WithCollector(context.Background(), c.collector), os.Interrupt)
 	if c.Timeout > 0 {
 		tctx, cancel := context.WithTimeout(ctx, c.Timeout)
 		return tctx, func() { cancel(); stop() }

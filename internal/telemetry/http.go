@@ -49,14 +49,15 @@ func (w *StatusWriter) Write(p []byte) (int, error) {
 func (w *StatusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // InstrumentHandler wraps an HTTP handler with the registry's request
-// metrics and a per-request "http/<endpoint>" span. Each request gets a
-// fresh span collector on its context: a resident server must not
-// accumulate span records for the life of the process, so only the
-// bounded registry (counter + latency histogram) outlives the request.
+// metrics and a per-request "http/<endpoint>" span. The span is observed
+// in the stage-latency histogram but recorded in no collector: a
+// resident server must not accumulate span records for the life of the
+// process, so only the bounded registry (counter + latency histograms)
+// outlives the request.
 func InstrumentHandler(reg *Registry, endpoint string, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		sw := &StatusWriter{ResponseWriter: w}
-		ctx := WithRegistry(WithCollector(r.Context(), NewCollector()), reg)
+		ctx := WithRegistry(r.Context(), reg)
 		ctx, span := StartSpan(ctx, "http/"+endpoint)
 		start := time.Now()
 		defer func() {

@@ -12,8 +12,8 @@ const StageSecondsMetric = "routinglens_stage_seconds"
 
 // Span is one timed region of the pipeline: a stage, a file parse, an
 // experiment. Spans nest through the context; ending a span records it
-// in the run's Collector and observes its duration in the registry's
-// stage-latency histogram.
+// in the run's Collector, if its context carries one, and observes its
+// duration in the registry's stage-latency histogram.
 type Span struct {
 	name   string
 	start  time.Time
@@ -48,9 +48,6 @@ type Collector struct {
 // NewCollector creates an empty span collector.
 func NewCollector() *Collector { return &Collector{} }
 
-// DefaultCollector receives spans whose context carries no collector.
-var DefaultCollector = NewCollector()
-
 // Records returns a copy of the finished spans in end order.
 func (c *Collector) Records() []Record {
 	c.mu.Lock()
@@ -58,13 +55,6 @@ func (c *Collector) Records() []Record {
 	out := make([]Record, len(c.recs))
 	copy(out, c.recs)
 	return out
-}
-
-// Reset drops all collected spans; tests and repeated CLI runs use it.
-func (c *Collector) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.recs = nil
 }
 
 type collectorKey struct{}
@@ -76,12 +66,12 @@ func WithCollector(ctx context.Context, col *Collector) context.Context {
 	return context.WithValue(ctx, collectorKey{}, col)
 }
 
-// CollectorFrom returns the context's collector, or DefaultCollector.
+// CollectorFrom returns the context's collector, or nil when it carries
+// none: spans started from such a context are observed in the registry
+// but recorded nowhere, so a resident server never accumulates them.
 func CollectorFrom(ctx context.Context) *Collector {
-	if c, ok := ctx.Value(collectorKey{}).(*Collector); ok {
-		return c
-	}
-	return DefaultCollector
+	c, _ := ctx.Value(collectorKey{}).(*Collector)
+	return c
 }
 
 // WithRegistry returns a context routing metrics to r.
@@ -177,29 +167,31 @@ func (s *Span) Path() string {
 	return s.parent.Path() + "/" + s.name
 }
 
-// End finishes the span: it records the duration in the collector and
-// the stage-latency histogram (a request span from StartRequestSpan
-// leaves the histogram to its caller). End is idempotent; only the
-// first call records.
+// End finishes the span: it records the duration in the collector, if
+// any, and the stage-latency histogram (a request span from
+// StartRequestSpan leaves the histogram to its caller). End is
+// idempotent; only the first call records.
 func (s *Span) End() time.Duration {
 	d := time.Since(s.start)
 	if s.ended {
 		return d
 	}
 	s.ended = true
-	rec := Record{
-		Name:     s.name,
-		Path:     s.Path(),
-		Depth:    s.depth,
-		Start:    s.start,
-		Duration: d,
+	if s.col != nil {
+		rec := Record{
+			Name:     s.name,
+			Path:     s.Path(),
+			Depth:    s.depth,
+			Start:    s.start,
+			Duration: d,
+		}
+		if s.err != nil {
+			rec.Err = s.err.Error()
+		}
+		s.col.mu.Lock()
+		s.col.recs = append(s.col.recs, rec)
+		s.col.mu.Unlock()
 	}
-	if s.err != nil {
-		rec.Err = s.err.Error()
-	}
-	s.col.mu.Lock()
-	s.col.recs = append(s.col.recs, rec)
-	s.col.mu.Unlock()
 	if s.reg != nil {
 		s.reg.Histogram(StageSecondsMetric, nil, L("stage", s.name)).Observe(d.Seconds())
 	}

@@ -211,6 +211,38 @@ func TestSpanObservesStageHistogram(t *testing.T) {
 	}
 }
 
+// TestSpanCollectorScope: a span started from a context without a
+// collector is recorded nowhere, though it still observes its stage
+// histogram, and a span started under CLI.Context() lands in that CLI's
+// own collector and no other.
+func TestSpanCollectorScope(t *testing.T) {
+	reg := NewRegistry()
+	ctx := WithRegistry(context.Background(), reg)
+	if CollectorFrom(ctx) != nil {
+		t.Fatal("a context without a collector reports one")
+	}
+	_, s := StartSpan(ctx, "loose")
+	s.End()
+	if s.col != nil {
+		t.Error("a span without a collector in its context was recorded")
+	}
+	if n := reg.Histogram(StageSecondsMetric, nil, L("stage", "loose")).Count(); n != 1 {
+		t.Errorf("loose stage count = %d, want 1", n)
+	}
+
+	cli, other := NewCLI("a"), NewCLI("b")
+	cctx, stop := cli.Context()
+	defer stop()
+	_, s = StartSpan(WithRegistry(cctx, reg), "cli-stage")
+	s.End()
+	if recs := cli.collector.Records(); len(recs) != 1 || recs[0].Name != "cli-stage" {
+		t.Errorf("CLI collector records = %+v, want the one cli-stage span", recs)
+	}
+	if recs := other.collector.Records(); len(recs) != 0 {
+		t.Errorf("another CLI's collector holds %d records, want 0", len(recs))
+	}
+}
+
 // TestRequestContext: a handler running under RequestContext sees the
 // request's trace ID and registry, and its spans nest under the request
 // span in the request's collector; the request span itself observes no
