@@ -13,9 +13,11 @@
 # runs of the concurrent-queries-during-reload stresses, query cache on
 # and off, plus the fleet isolation stress proving a failing or slow
 # reload of one network never blocks another, and the ingest convergence
-# stress racing the config watcher against pushes and manual reloads) —
-# and a short fuzz pass over every ingestion fuzz target including the
-# tar.gz push extractor
+# stress racing the config watcher against pushes, manual reloads and
+# rollbacks) — and a short fuzz pass over every ingestion fuzz target
+# including the tar.gz push extractor, plus the reload-model check that
+# drives random reload, push, rollback, edit and watcher sequences with
+# injected faults against a reference model of one network
 # (fuzzsmoke); benchsmoke runs the instrumented pipeline benches and the
 # simulator benches once so stage-instrumentation overhead and the
 # simulator's time and allocations stay visible in CI output, plus the
@@ -62,6 +64,7 @@ fuzzsmoke:
 	go test -run '^$$' -fuzz '^FuzzCacheKey$$' -fuzztime $(FUZZTIME) ./internal/parsecache
 	go test -run '^$$' -fuzz '^FuzzSnapshotLoad$$' -fuzztime $(FUZZTIME) ./internal/snapshot
 	go test -run '^$$' -fuzz '^FuzzTarIngest$$' -fuzztime $(FUZZTIME) ./internal/ingest
+	go test -run '^$$' -fuzz '^FuzzReloadModel$$' -fuzztime $(FUZZTIME) ./internal/serve
 
 benchsmoke:
 	go test -run '^$$' -bench 'BenchmarkAnalyze|BenchmarkSimroute' -benchtime=1x .

@@ -58,17 +58,24 @@
 // concurrency limiter (-max-inflight) that sheds overload with 429 +
 // Retry-After, and a query the cache cannot answer computes under a
 // per-request timeout (-request-timeout); a
-// panicking handler returns 500 and never kills the process; a failed
-// reload attempt — an analysis error, or a panic anywhere before the
-// swap — retries with backoff (-reload-retries, -reload-backoff) and,
-// if it still fails, that network keeps serving its last-good design
-// with its readiness degraded — the rest of the fleet is untouched.
-// Fleet-wide (re)analysis runs through a bounded pool of
-// -reload-workers, so SIGHUP against a large corpus loads a few
-// networks at a time. SIGTERM/SIGINT drain in-flight requests for up to
-// -shutdown-grace before exit. If an *initial* analysis fails, even by
-// panicking, the daemon still comes up (healthz 200, that network's
-// queries 503) so an operator can fix the configs and POST its reload.
+// panicking handler returns 500 and never kills the process. A manual
+// reload, SIGHUP, a watcher poll and a config push all run one reload
+// transaction: a failed attempt — an analysis error, or a panic
+// anywhere before the swap, a push's promotion into its generation
+// chain included — retries with backoff (-reload-retries,
+// -reload-backoff) and, if it still fails, that network keeps serving
+// its last-good design with its readiness degraded (a push answers the
+// same 500 reload_failed body as a reload) — the rest of the fleet is
+// untouched. Every reload ends in one commit that publishes the new
+// generation, if any, and records one outcome: ok, unchanged, rejected
+// or error. At most -reload-workers analyses run at once across the
+// fleet, and a network backing off between attempts holds no slot, so
+// SIGHUP against a large corpus loads a few networks at a time and one
+// failing network never holds back the rest. SIGTERM/SIGINT drain
+// in-flight requests for up to -shutdown-grace before exit. If an
+// *initial* analysis fails, even by panicking, the daemon still comes
+// up (healthz 200, that network's queries 503) so an operator can fix
+// the configs and POST its reload.
 //
 // Caching: reloads are incremental — one content-addressed parse cache
 // (-parse-cache, entries; 0 disables) is shared by every network with

@@ -123,7 +123,7 @@ func BuildWorkspaceOpts(ctx context.Context, seed int64, parallelism int, failFa
 			"instances", len(model.Instances), "duration", d)
 		return na, nil
 	}
-	RunPool(ctx, parallelism, len(c.Networks), func(i int) {
+	runPool(ctx, parallelism, len(c.Networks), func(i int) {
 		analyses[i], errs[i] = analyzeOne(c.Networks[i])
 	})
 	if err := ctx.Err(); err != nil {
@@ -154,13 +154,11 @@ func BuildWorkspaceOpts(ctx context.Context, seed int64, parallelism int, failFa
 	return ws, nil
 }
 
-// RunPool distributes n index-addressed work items over a bounded worker
+// runPool distributes n index-addressed work items over a bounded worker
 // pool (parallelism <= 0 means GOMAXPROCS; a pool of 1 runs inline).
 // Work items must only touch their own index. A cancelled ctx drains the
-// queue early; already running items finish. It is exported because the
-// serve layer reloads its fleet of networks through the same pool shape
-// the corpus analysis here uses.
-func RunPool(ctx context.Context, parallelism, n int, work func(i int)) {
+// queue early; already running items finish.
+func runPool(ctx context.Context, parallelism, n int, work func(i int)) {
 	workers := parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -297,7 +295,7 @@ func All(ws *Workspace) []Result {
 func AllParallel(ctx context.Context, ws *Workspace, parallelism int) []Result {
 	results := make([]Result, len(drivers))
 	done := make([]bool, len(drivers))
-	RunPool(ctx, parallelism, len(drivers), func(i int) {
+	runPool(ctx, parallelism, len(drivers), func(i int) {
 		results[i] = runTimed(ctx, drivers[i], ws)
 		done[i] = true
 	})

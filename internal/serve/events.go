@@ -211,10 +211,9 @@ func (c *coalescer) hit(n int64) (emit bool, count int64) {
 // design changed, the design-diff event plus one event per changed
 // compartment, into the network's own ring. It runs after the pointer
 // swap — consumers observing the event can immediately query the
-// generation it announces. diff, when non-nil, is the already-computed
-// delta against prev (the admission gate computes it anyway); nil means
-// compute it here.
-func (nw *Network) emitSwapEvents(prev, st *State, diff *designdiff.Diff) {
+// generation it announces. delta is the reload attempt's delta against
+// prev, nil exactly when there is no prev.
+func (nw *Network) emitSwapEvents(prev, st *State, delta *designdiff.Delta) {
 	p := swapPayload{
 		Seq:          st.Seq,
 		Network:      st.Res.Design.Network.Name,
@@ -227,17 +226,10 @@ func (nw *Network) emitSwapEvents(prev, st *State, diff *designdiff.Diff) {
 		p.PrevSeq = prev.Seq
 	}
 	nw.emit(EvtSwap, p)
-	if prev == nil {
+	if delta == nil || delta.Empty {
 		return
 	}
-	if diff == nil {
-		diff = st.Res.Design.DiffFrom(prev.Res.Design)
-	}
-	if diff.Empty() {
-		return
-	}
-	delta := diff.Delta()
-	nw.emit(EvtDesignDiff, diffPayload{FromSeq: prev.Seq, ToSeq: st.Seq, Delta: delta})
+	nw.emit(EvtDesignDiff, diffPayload{FromSeq: prev.Seq, ToSeq: st.Seq, Delta: *delta})
 	for _, c := range delta.Compartments {
 		nw.emit(EvtCompartment, compartmentPayload{FromSeq: prev.Seq, ToSeq: st.Seq, Compartment: c})
 	}

@@ -100,13 +100,14 @@ type fleetReadyzResponse struct {
 // readyz snapshots one network's readiness.
 func (nw *Network) readyz() readyzResponse {
 	st := nw.cur.Load()
-	resp := readyzResponse{Net: nw.name, Degraded: nw.degraded.Load()}
+	resp := readyzResponse{Net: nw.name}
 	if st != nil {
 		resp.Seq = st.Seq
 		resp.LoadedAt = st.LoadedAt.UTC().Format(time.RFC3339)
 		resp.AgeSec = int64(time.Since(st.LoadedAt).Seconds())
 	}
-	if f := nw.lastFail.Load(); f != nil && resp.Degraded {
+	if f := nw.lastFail.Load(); f != nil {
+		resp.Degraded = true
 		resp.LastError = f.Err
 		resp.LastErrorAt = f.At.UTC().Format(time.RFC3339)
 	}
@@ -198,7 +199,8 @@ func (s *Server) handleNets(w http.ResponseWriter, r *http.Request) {
 	}
 	for _, name := range s.netNames {
 		nw := s.nets[name]
-		info := netInfo{Name: name, Degraded: nw.degraded.Load()}
+		f := nw.lastFail.Load()
+		info := netInfo{Name: name, Degraded: f != nil}
 		if st := nw.cur.Load(); st != nil {
 			info.Seq = st.Seq
 			info.Routers = len(st.Res.Design.Network.Devices)
@@ -208,7 +210,7 @@ func (s *Server) handleNets(w http.ResponseWriter, r *http.Request) {
 		if d := nw.lastReloadNS.Load(); d > 0 {
 			info.LastReloadMS = time.Duration(d).Milliseconds()
 		}
-		if f := nw.lastFail.Load(); f != nil && info.Degraded {
+		if f != nil {
 			info.LastError = f.Err
 		}
 		info.Quarantined = nw.quarantine.Load() != nil
@@ -240,44 +242,45 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request, nw *Networ
 		writeError(w, r, http.StatusBadRequest, codeBadRequest, ferr.Error())
 		return
 	}
-	before := nw.cur.Load()
-	if err := nw.reload(context.Background(), reloadReq{force: force, trigger: "manual"}); err != nil {
-		status, resp := nw.reloadError(r, err)
+	o := nw.reload(context.Background(), reloadReq{force: force, trigger: "manual"})
+	if o.err != nil {
+		status, resp := nw.reloadError(r, o)
 		writeJSON(w, status, resp)
 		return
-	}
-	st := nw.cur.Load()
-	// unchanged: the signature set matched the serving generation, so
-	// the reload kept it (no swap, caches stay warm).
-	result := "swapped"
-	if st == before {
-		result = "unchanged"
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"ok":        true,
 		"net":       nw.name,
-		"seq":       st.Seq,
-		"result":    result,
-		"loaded_at": st.LoadedAt.UTC().Format(time.RFC3339),
+		"seq":       o.st.Seq,
+		"result":    o.answer(),
+		"loaded_at": o.st.LoadedAt.UTC().Format(time.RFC3339),
 	})
 }
 
+// answer is a successful reload's or push's "result": swapped, or
+// unchanged when it kept the serving generation (caches stay warm).
+func (o outcome) answer() string {
+	if o.result == "unchanged" {
+		return "unchanged"
+	}
+	return "swapped"
+}
+
 // reloadError builds the answer to a reload or config push whose reload
-// returned err. Its "result" is "rejected" (422) when admission control
-// refused a cleanly analyzed candidate and the network is NOT degraded,
-// else "failed" (500): failReload has degraded the network. Either way
-// the last-good generation, if any, keeps serving.
-func (nw *Network) reloadError(r *http.Request, err error) (int, map[string]any) {
-	resp := map[string]any{"error": err.Error(), "net": nw.name}
+// ended rejected or failed. Its "result" is "rejected" (422) when
+// admission control refused a cleanly analyzed candidate and the network
+// is NOT degraded, else "failed" (500): the commit has degraded the
+// network. Either way the last-good generation, if any, keeps serving.
+func (nw *Network) reloadError(r *http.Request, o outcome) (int, map[string]any) {
+	resp := map[string]any{"error": o.err.Error(), "net": nw.name}
 	if id := telemetry.TraceIDFrom(r.Context()); id != "" {
 		resp["trace_id"] = id
 	}
-	st := nw.cur.Load()
-	if st != nil {
-		resp["serving_seq"] = st.Seq
+	if o.st != nil {
+		resp["serving_seq"] = o.st.Seq
 	}
 	var adm *AdmissionError
-	if errors.As(err, &adm) {
+	if errors.As(o.err, &adm) {
 		resp["code"], resp["result"] = codeDesignRejected, "rejected"
 		resp["reasons"] = adm.Reasons
 		resp["quarantine"] = "/v1/nets/" + nw.name + "/quarantine"
@@ -285,7 +288,7 @@ func (nw *Network) reloadError(r *http.Request, err error) (int, map[string]any)
 		return http.StatusUnprocessableEntity, resp
 	}
 	resp["code"], resp["result"], resp["degraded"] = codeReloadFailed, "failed", true
-	if st != nil {
+	if o.st != nil {
 		resp["note"] = "still serving the last-good design"
 	}
 	return http.StatusInternalServerError, resp

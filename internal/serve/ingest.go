@@ -3,12 +3,13 @@
 //
 //   - handleConfigs accepts POST /v1/nets/{net}/configs tar.gz pushes:
 //     the archive is streamed into a staging directory under hard
-//     size/entry/traversal limits, analyzed, run through the admission
-//     gate, and only then promoted into the network's generation chain.
-//     The live directory is never mutated; a rejected or malformed push
-//     leaves the serving design byte-identical.
-//   - handleRollback restores the previous promoted generation as the
-//     active directory (the next reload analyzes it).
+//     size/entry/traversal limits; the push's reload analyzes it, runs
+//     the admission gate, and only then promotes it into the network's
+//     generation chain, inside the reload's panic boundary. The live
+//     directory is never mutated; a rejected or malformed push leaves
+//     the serving design byte-identical.
+//   - handleRollback points the generation store back at its previous
+//     generation, which the next reload analyzes.
 //   - StartWatchers runs one ingest.Watcher per directory-backed
 //     network, so drift in the config source flows in autonomously —
 //     through the same reload, retry, and admission machinery a manual
@@ -87,126 +88,90 @@ func parseForce(r *http.Request) (bool, error) {
 }
 
 // handleConfigs ingests a pushed tar.gz of router configurations:
-// extract into staging under limits, analyze, admit, promote, swap.
-// Every failure mode leaves the live directory untouched — malformed
-// archives never leave staging, rejected designs are quarantined while
-// the last-good generation keeps serving.
+// extract into staging under limits, then one reload that analyzes,
+// admits, promotes and swaps. Every failure mode leaves the live
+// directory untouched — malformed archives never leave staging, rejected
+// designs are quarantined while the last-good generation keeps serving.
+// Each push counts once in ingest_pushes_total; a panic counts failed.
 func (s *Server) handleConfigs(w http.ResponseWriter, r *http.Request, nw *Network) {
-	lnet := telemetry.L("net", nw.name)
-	pushResult := func(res string) {
-		s.reg.Counter(ingest.MetricPushes, lnet, telemetry.L("result", res)).Inc()
-	}
+	result := "failed"
+	defer func() {
+		s.reg.Counter(ingest.MetricPushes, telemetry.L("net", nw.name), telemetry.L("result", result)).Inc()
+	}()
 	if nw.dir == "" {
-		pushResult("unsupported")
+		result = "unsupported"
 		writeError(w, r, http.StatusBadRequest, codePushUnsupported,
 			fmt.Sprintf("network %q is not directory-backed; config pushes need a directory source", nw.name))
 		return
 	}
 	force, err := parseForce(r)
 	if err != nil {
-		pushResult("bad_archive")
+		result = "bad_archive"
 		writeError(w, r, http.StatusBadRequest, codeBadRequest, err.Error())
 		return
 	}
 	store, err := nw.ingestStore()
 	if err != nil {
-		pushResult("failed")
 		writeError(w, r, http.StatusInternalServerError, codeInternal,
 			"opening the generation store: "+err.Error())
 		return
 	}
+	if ferr := s.faults.Fire(telemetry.WithRegistry(r.Context(), s.reg), ingest.SiteExtract); ferr != nil {
+		writeError(w, r, http.StatusInternalServerError, codeInternal, ferr.Error())
+		return
+	}
 	staging, err := store.Begin()
 	if err != nil {
-		pushResult("failed")
 		writeError(w, r, http.StatusInternalServerError, codeInternal,
 			"creating a staging directory: "+err.Error())
 		return
 	}
 	lim := ingest.DefaultLimits
-	fctx := telemetry.WithRegistry(r.Context(), s.reg)
-	if ferr := s.faults.Fire(fctx, ingest.SiteExtract); ferr != nil {
-		store.Discard(staging)
-		pushResult("failed")
-		writeError(w, r, http.StatusInternalServerError, codeInternal, ferr.Error())
-		return
-	}
 	res, err := ingest.ExtractTarGz(http.MaxBytesReader(w, r.Body, lim.MaxBytes), staging, lim)
 	if err != nil {
 		store.Discard(staging)
 		switch {
 		case errors.Is(err, ingest.ErrTooLarge):
-			pushResult("too_large")
+			result = "too_large"
 			writeError(w, r, http.StatusRequestEntityTooLarge, codeTooLarge, err.Error())
 		default:
-			pushResult("bad_archive")
+			result = "bad_archive"
 			writeError(w, r, http.StatusBadRequest, codeBadArchive, err.Error())
 		}
 		return
 	}
 
-	// Analyze the staged snapshot through the normal reload machinery,
+	// Analyze the staged snapshot through the normal reload transaction,
 	// detached from the request context (a disconnecting client must not
-	// half-cancel an analysis). Promotion into the generation chain
-	// happens inside the reload, after the admission gate passes.
-	promoted := ""
-	rerr := nw.reload(context.Background(), reloadReq{
-		force:   force,
-		trigger: "push",
-		dir:     staging,
-		promote: func() (string, error) {
-			if ferr := s.faults.Fire(fctx, ingest.SitePromote); ferr != nil {
-				return "", ferr
-			}
-			gen, perr := store.Promote(staging)
-			if perr == nil {
-				promoted = gen
-			}
-			return gen, perr
-		},
-		pushFiles: res.Files,
-		pushBytes: res.Bytes,
-	})
-	if promoted == "" {
-		store.Discard(staging)
-	}
-	if rerr != nil {
-		status, resp := nw.reloadError(r, rerr)
-		pushResult(resp["result"].(string))
+	// half-cancel an analysis); its commit discards unpromoted staging.
+	o := nw.reload(context.Background(), reloadReq{force: force, trigger: "push",
+		push: &pushReq{store: store, staging: staging, files: res.Files, bytes: res.Bytes}})
+	if o.err != nil {
+		status, resp := nw.reloadError(r, o)
+		result = resp["result"].(string)
 		writeJSON(w, status, resp)
 		return
 	}
-	st := nw.cur.Load()
-	result := "swapped"
-	if promoted == "" {
-		// The staged snapshot's signature set matched the serving
-		// generation: nothing was promoted, nothing swapped.
-		result = "unchanged"
-		pushResult("unchanged")
-	} else {
-		pushResult("ok")
-	}
+	result = o.result
 	resp := map[string]any{
 		"ok":     true,
 		"net":    nw.name,
-		"result": result,
+		"result": o.answer(),
 		"files":  res.Files,
 		"bytes":  res.Bytes,
+		"seq":    o.st.Seq,
 	}
-	if st != nil {
-		resp["seq"] = st.Seq
-	}
-	if promoted != "" {
-		resp["generation"] = filepath.Base(promoted)
+	if o.gen != "" {
+		resp["generation"] = filepath.Base(o.gen)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleRollback repoints the network at its previous promoted
-// generation. It does not itself reload — the next reload (manual,
-// watch, or SIGHUP) analyzes the restored generation and swaps it in
-// through the usual gate.
+// handleRollback points the network's generation store back at its
+// previous generation. It does not itself reload — the next reload
+// (manual, watch, or SIGHUP) analyzes the restored generation and swaps
+// it in through the usual gate.
 func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request, nw *Network) {
-	lnet := telemetry.L("net", nw.name)
 	if nw.dir == "" {
 		writeError(w, r, http.StatusBadRequest, codePushUnsupported,
 			fmt.Sprintf("network %q is not directory-backed; nothing to roll back", nw.name))
@@ -228,8 +193,7 @@ func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request, nw *Netw
 		writeError(w, r, http.StatusConflict, codeNoRollback, err.Error())
 		return
 	}
-	nw.setActiveDir(restored)
-	s.reg.Counter(ingest.MetricRollbacks, lnet).Inc()
+	s.reg.Counter(ingest.MetricRollbacks, telemetry.L("net", nw.name)).Inc()
 	nw.emit(EvtConfigRolledBack, configRolledbackPayload{Restored: filepath.Base(restored)})
 	s.log.Info("generation rolled back", "net", nw.name, "restored", restored)
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -257,7 +221,7 @@ func (s *Server) handleQuarantine(w http.ResponseWriter, r *http.Request, nw *Ne
 // StartWatchers launches one config-source watcher per directory-backed
 // network (when Config.WatchInterval is positive). Each watcher polls
 // its network's active directory signature on a jittered interval,
-// reloads on change through the bounded worker pool, retries with
+// reloads on change through the bounded reload semaphore, retries with
 // exponential backoff, and circuit-breaks (ingest.suspended) after
 // three consecutive failures (ingest.Watcher's default) — resuming on
 // the next good signature. Run calls this; embedders driving Handler directly can
@@ -294,7 +258,7 @@ func (nw *Network) watch(ctx context.Context) {
 			return ingest.DirSignature(nw.activeDirPath())
 		},
 		Reload: func(ctx context.Context) error {
-			return nw.reload(ctx, reloadReq{trigger: "watch"})
+			return nw.reload(ctx, reloadReq{trigger: "watch"}).err
 		},
 		IsRejection: func(err error) bool {
 			var adm *AdmissionError

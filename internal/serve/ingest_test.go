@@ -724,10 +724,12 @@ func TestWatcherReloadsAndCircuitBreaks(t *testing.T) {
 }
 
 // TestIngestConvergenceStress is the tier-2 race stress: a watcher, a
-// pusher (mixing admitted and catastrophic archives), and a manual
-// reloader all hammer one network concurrently. The invariants: the
-// server converges to the final content, every successful swap emits
-// exactly one generation.swap event, and the quarantine record is never
+// pusher (mixing admitted and catastrophic archives), a manual reloader
+// and a rollbacker all hammer one network concurrently. The invariants:
+// the server converges to the final content, every successful swap emits
+// exactly one generation.swap event, the swaps' seqs form one chain
+// without a gap, no staging directory is left behind, reloads analyze
+// the store's current directory, and the quarantine record is never
 // observed half-written.
 func TestIngestConvergenceStress(t *testing.T) {
 	s, dir := newIngestServer(t, func(c *Config) {
@@ -814,6 +816,25 @@ func TestIngestConvergenceStress(t *testing.T) {
 			time.Sleep(4 * time.Millisecond)
 		}
 	}()
+	// Rollbacker: flip the generation store back and forth, racing the
+	// pushes' promotions.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			resp, err := http.Post(ts.URL+"/v1/nets/push/configs/rollback", "", nil)
+			if err == nil {
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}()
 	// Quarantine reader: a record, when present, is always complete.
 	var torn atomic.Int64
 	wg.Add(1)
@@ -845,7 +866,7 @@ func TestIngestConvergenceStress(t *testing.T) {
 	}
 	// Converge: one final forced reload of whatever is active now must
 	// succeed and leave the network clean.
-	if err := nw.reload(context.Background(), reloadReq{force: true, trigger: "manual"}); err != nil {
+	if err := nw.reload(context.Background(), reloadReq{force: true, trigger: "manual"}).err; err != nil {
 		t.Fatalf("convergence reload: %v", err)
 	}
 	if nw.Degraded() {
@@ -865,5 +886,42 @@ func TestIngestConvergenceStress(t *testing.T) {
 	okReloads := s.reg.Counter(MetricReloads, lnet("push"), telemetry.L("result", "ok")).Value()
 	if int64(swaps) != okReloads {
 		t.Errorf("generation.swap events (%d) != successful reloads (%v): swap events lost or duplicated", swaps, okReloads)
+	}
+	checkSwapChain(t, evs)
+	checkNoStaging(t, filepath.Join(s.cfg.IngestDir, "push"))
+	if store := nw.peekStore(); store == nil || nw.activeDirPath() != store.Current() {
+		t.Errorf("reloads analyze %q, not the generation store's current directory", nw.activeDirPath())
+	}
+}
+
+// checkSwapChain asserts that the generation.swap events among evs
+// publish contiguous seqs: each one's prev_seq is the seq before it.
+func checkSwapChain(t testing.TB, evs []events.Event) {
+	t.Helper()
+	var last int64
+	for _, ev := range evs {
+		if ev.Type != EvtSwap {
+			continue
+		}
+		p := ev.Payload.(swapPayload)
+		if p.PrevSeq != last || p.Seq != last+1 {
+			t.Errorf("generation.swap seq %d (prev_seq %d) follows seq %d: the published seqs have a gap", p.Seq, p.PrevSeq, last)
+		}
+		last = p.Seq
+	}
+}
+
+// checkNoStaging asserts that no staging directory is left in a
+// network's generation store root.
+func checkNoStaging(t testing.TB, root string) {
+	t.Helper()
+	ents, err := os.ReadDir(root)
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if strings.HasPrefix(e.Name(), "staging-") {
+			t.Errorf("staging directory %s left in the generation store", e.Name())
+		}
 	}
 }

@@ -14,14 +14,17 @@
 //     that sheds load with 429 + Retry-After instead of queueing
 //     unboundedly, and every query the cache cannot answer computes
 //     under a per-request timeout.
-//   - Reload (POST /v1/nets/<net>/reload or SIGHUP) re-analyzes with
-//     retry and exponential backoff; a panic anywhere in an attempt is
-//     that attempt's error. If every attempt fails that network keeps
-//     serving its last-good design and only its readiness degrades.
-//     Networks are isolated: a failing or slow reload of one never
-//     blocks queries against another.
-//   - Analysis runs through a bounded fleet-wide worker pool, so a
-//     SIGHUP against a large corpus re-analyzes a few networks at a
+//   - Every change of what a network serves — a reload (POST
+//     /v1/nets/<net>/reload or SIGHUP), a watcher poll, a config push —
+//     is one transaction: attempts, retried with exponential backoff,
+//     each build a candidate generation (a push's promotion included)
+//     inside one panic boundary, and one commit that cannot fail then
+//     publishes the candidate and records the outcome. If every attempt
+//     fails that network keeps serving its last-good design and only its
+//     readiness degrades. Networks are isolated: a failing or slow
+//     reload of one never blocks queries against another.
+//   - Analysis attempts take a slot of a bounded fleet-wide semaphore,
+//     so a SIGHUP against a large corpus re-analyzes a few networks at a
 //     time instead of all at once.
 //   - Shutdown (SIGTERM/SIGINT) drains in-flight requests under a
 //     deadline before exiting.
@@ -49,7 +52,6 @@ import (
 	"routinglens/internal/core"
 	"routinglens/internal/designdiff"
 	"routinglens/internal/events"
-	"routinglens/internal/experiments"
 	"routinglens/internal/faultinject"
 	"routinglens/internal/ingest"
 	"routinglens/internal/netaddr"
@@ -145,7 +147,8 @@ type Config struct {
 	// excess load is shed with 429 (default 64).
 	MaxInFlight int
 	// ReloadRetries is how many times a failed (re)load is retried with
-	// exponential backoff before giving up (default 2).
+	// exponential backoff before giving up; 0 means no retry (rlensd's
+	// -reload-retries flag defaults to 2).
 	ReloadRetries int
 	// ReloadBackoff is the first retry's backoff, doubling per attempt
 	// (default 250ms).
@@ -205,12 +208,13 @@ type Config struct {
 	Faults *faultinject.Injector
 }
 
-// State is one immutable analysis generation, built whole by the reload
-// attempt that publishes it: the analysis result, its sequence number and
-// load time, and the reachability and survivability analyses the reach
-// and whatif endpoints answer from. The server swaps whole *State
-// pointers, so a query sees one consistent design from first byte to
-// last even while a reload lands.
+// State is one immutable analysis generation, built whole by a reload
+// attempt: the analysis result, its sequence number and load time, and
+// the reachability and survivability analyses the reach and whatif
+// endpoints answer from. The reload's commit stamps the sequence number
+// just before it publishes the generation; nothing changes it after.
+// The server swaps whole *State pointers, so a query sees one consistent
+// design from first byte to last even while a reload lands.
 type State struct {
 	Res      *core.Result
 	Seq      int64
@@ -224,7 +228,7 @@ type State struct {
 // injects it.
 var defaultRoute = []simroute.ExternalRoute{{Prefix: netaddr.PrefixFrom(0, 0)}}
 
-// reloadStatus records the outcome of the most recent failed reload, for
+// reloadStatus records the failed reload that degraded a network, for
 // readiness probes and logs.
 type reloadStatus struct {
 	Err string
@@ -236,7 +240,7 @@ type reloadStatus struct {
 // limiter, and its event ring. Every field a reload or a query touches
 // lives here, which is the isolation argument — nothing about network A
 // failing, reloading, or saturating is visible from network B's chain
-// except contention on the bounded fleet-wide reload pool.
+// except contention on the bounded fleet-wide reload semaphore.
 type Network struct {
 	s      *Server
 	name   string
@@ -244,11 +248,12 @@ type Network struct {
 	loadFn func(ctx context.Context) (*core.Result, error)
 	an     *core.Analyzer
 
-	sem      chan struct{}
-	qc       *qcache
-	cur      atomic.Pointer[State]
-	seq      atomic.Int64
-	degraded atomic.Bool
+	sem chan struct{}
+	qc  *qcache
+	cur atomic.Pointer[State]
+	// lastFail is the failed reload the network is degraded by: set by a
+	// commit that gives up, cleared by one that publishes or keeps a
+	// generation. The network is degraded exactly while it is non-nil.
 	lastFail atomic.Pointer[reloadStatus]
 	reloadMu sync.Mutex
 	// lastReloadNS is the wall time of the most recent successful
@@ -264,17 +269,13 @@ type Network struct {
 	inflight, qcEntries *telemetry.Gauge
 	queries             map[string]*queryMetrics
 
-	// activeDir is the directory reloads analyze: the source directory
-	// until a push promotes a generation, then the promoted generation
-	// (or, after a rollback, the restored one). Atomic because the
-	// watcher reads it outside reloadMu.
-	activeDir atomic.Pointer[string]
 	// quarantine retains the most recent admission rejection, cleared
 	// by the next successful swap. One atomic pointer: readers see a
 	// whole record or none, never a half-written one.
 	quarantine atomic.Pointer[QuarantineRecord]
 	// store is the network's pushed-config generation chain, created
-	// lazily on the first push.
+	// lazily on the first push. Once it exists, its current directory is
+	// the one reloads analyze.
 	storeMu sync.Mutex
 	store   *ingest.Store
 }
@@ -288,7 +289,7 @@ func (nw *Network) State() *State { return nw.cur.Load() }
 
 // Degraded reports whether the network's most recent (re)load failed;
 // it still serves its last-good design while degraded.
-func (nw *Network) Degraded() bool { return nw.degraded.Load() }
+func (nw *Network) Degraded() bool { return nw.lastFail.Load() != nil }
 
 // Events exposes the network's event buffer, so embedders (the smoke
 // harness, future push-ingestion front ends) can publish into and
@@ -309,7 +310,8 @@ type Server struct {
 	netNames []string // sorted
 	pc       *parsecache.Cache
 	// reloadSem bounds concurrently running analysis attempts across
-	// the whole fleet (capacity ReloadWorkers).
+	// the whole fleet (capacity ReloadWorkers). An attempt holds a slot
+	// only while it analyzes, never across a retry backoff.
 	reloadSem chan struct{}
 
 	traces *telemetry.TraceStore
@@ -395,7 +397,10 @@ func New(cfg Config) (*Server, error) {
 }
 
 // netSources resolves the configured design sources into the network
-// list: explicit Nets, else the networks of the corpus root.
+// list: explicit Nets, else one network per subdirectory of the corpus
+// root, in name order. Plain files at the root (READMEs, manifests) are
+// not networks, and a root with no subdirectory is refused: it is always
+// a mispointed path.
 func (cfg Config) netSources() ([]NetSource, error) {
 	if len(cfg.Nets) > 0 {
 		return cfg.Nets, nil
@@ -403,13 +408,18 @@ func (cfg Config) netSources() ([]NetSource, error) {
 	if cfg.CorpusDir == "" {
 		return nil, errors.New("serve: no networks configured (set Nets or CorpusDir)")
 	}
-	discovered, err := experiments.DiscoverCorpus(cfg.CorpusDir)
+	entries, err := os.ReadDir(cfg.CorpusDir)
 	if err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
+		return nil, fmt.Errorf("serve: reading corpus root: %w", err)
 	}
-	srcs := make([]NetSource, 0, len(discovered))
-	for _, d := range discovered {
-		srcs = append(srcs, NetSource{Name: d.Name, Dir: d.Dir})
+	var srcs []NetSource
+	for _, e := range entries {
+		if e.IsDir() {
+			srcs = append(srcs, NetSource{Name: e.Name(), Dir: filepath.Join(cfg.CorpusDir, e.Name())})
+		}
+	}
+	if len(srcs) == 0 {
+		return nil, fmt.Errorf("serve: corpus root %s contains no network directories", cfg.CorpusDir)
 	}
 	return srcs, nil
 }
@@ -448,7 +458,6 @@ func (s *Server) addNet(src NetSource) error {
 		sem:    make(chan struct{}, s.cfg.MaxInFlight),
 		evts:   events.NewBuffer(s.cfg.EventsBuffer, s.reg, telemetry.L("net", src.Name)),
 	}
-	nw.setActiveDir(src.Dir)
 	if s.cfg.QueryCacheSize > 0 {
 		nw.qc = newQCache(s.cfg.QueryCacheSize)
 	}
@@ -507,29 +516,20 @@ func registerHelp(reg *telemetry.Registry) {
 // Handler returns the daemon's HTTP surface.
 func (s *Server) Handler() http.Handler { return s.handler }
 
-// observeCrossNetHits exports the shared parse cache's cross-network
-// hit count after load activity; a no-op without a shared cache.
-func (s *Server) observeCrossNetHits() {
-	if s.pc == nil {
-		return
-	}
-	s.reg.Gauge(MetricCrossNetHits).Set(float64(s.pc.Stats().CrossHits))
-}
-
-// activeDirPath returns the directory reloads currently analyze.
+// activeDirPath returns the directory reloads analyze: the generation
+// store's current directory once a push has created the store, the
+// network's source directory before that.
 func (nw *Network) activeDirPath() string {
-	if p := nw.activeDir.Load(); p != nil {
-		return *p
+	if st := nw.peekStore(); st != nil {
+		return st.Current()
 	}
 	return nw.dir
 }
 
-// setActiveDir repoints future reloads (and watcher polls) at dir.
-func (nw *Network) setActiveDir(dir string) { nw.activeDir.Store(&dir) }
-
-// load runs one analysis attempt against dir through the fleet-wide
-// reload pool and the fault-injection boundary. The pool slot is held
-// only for the attempt itself, never across retry backoff sleeps.
+// load runs one analysis attempt against dir under a slot of the
+// fleet-wide reload semaphore and through the fault-injection boundary.
+// The slot is held only for the analysis itself, never across retry
+// backoff sleeps.
 func (nw *Network) load(ctx context.Context, dir string) (*core.Result, error) {
 	s := nw.s
 	select {
@@ -557,23 +557,41 @@ func (nw *Network) load(ctx context.Context, dir string) (*core.Result, error) {
 }
 
 // reloadReq parameterizes one reload: what drove it, whether to bypass
-// the admission gate, which directory to analyze (empty means the
-// network's active directory), and — for pushes — the hook that
-// promotes the staged directory into the generation chain once the
-// candidate design has been admitted.
+// the admission gate, and, for a config push, the staged archive.
 type reloadReq struct {
 	force   bool
 	trigger string // manual | watch | push
-	// dir overrides the analyzed directory (a push's staging dir).
-	dir string
-	// promote, when non-nil, runs after admission and before the swap;
-	// it returns the promoted generation directory, which becomes the
-	// network's active directory. A promote failure fails the reload
-	// without swapping.
-	promote func() (string, error)
-	// pushFiles/pushBytes annotate the config.pushed event.
-	pushFiles int
-	pushBytes int64
+	push    *pushReq
+}
+
+// pushReq is a pushed archive extracted into a staging directory of the
+// network's generation store; files and bytes annotate config.pushed.
+type pushReq struct {
+	store   *ingest.Store
+	staging string
+	files   int
+	bytes   int64
+}
+
+// candidate is what a successful attempt hands the commit: the
+// generation to publish (prev itself when the input is unchanged), its
+// delta against prev (nil on a first load), the directory a push
+// promoted, and how long the reach and what-if builds took.
+type candidate struct {
+	st       *State
+	delta    *designdiff.Delta
+	gen      string
+	analyses time.Duration
+}
+
+// outcome is what one reload's commit recorded: its result (ok |
+// unchanged | rejected | error), the generation serving afterwards, the
+// directory a push promoted, and the error of a rejected or failed one.
+type outcome struct {
+	result string
+	st     *State
+	gen    string
+	err    error
 }
 
 // Reload re-analyzes the network's configuration and swaps the new
@@ -586,46 +604,41 @@ type reloadReq struct {
 // rejected instead (the typed *AdmissionError): the network is NOT
 // degraded, the rejection is quarantined, and the last-good generation
 // keeps serving. Reloads of one network serialize; different networks
-// reload independently, bounded only by the fleet-wide worker pool.
+// reload independently, bounded only by the fleet-wide reload semaphore.
 // Also the initial load — cmd/rlensd reloads every network once before
 // serving.
 func (nw *Network) Reload(ctx context.Context) error {
-	return nw.reload(ctx, reloadReq{trigger: "manual"})
+	return nw.reload(ctx, reloadReq{trigger: "manual"}).err
 }
 
-func (nw *Network) reload(ctx context.Context, req reloadReq) error {
+// reload is the one transaction every trigger runs: attempts, retried
+// with backoff while they fail (a rejection is a verdict a retry would
+// not change), then one commit.
+func (nw *Network) reload(ctx context.Context, req reloadReq) outcome {
 	s := nw.s
 	nw.reloadMu.Lock()
 	defer nw.reloadMu.Unlock()
-	dir := req.dir
-	if dir == "" {
-		dir = nw.activeDirPath()
-	}
-	lnet := telemetry.L("net", nw.name)
-	backoff := s.cfg.ReloadBackoff
-	// Only a reload swaps the pointer, and reloadMu serializes them, so
-	// prev stays the serving generation until this reload swaps.
+	// Only a commit swaps the pointer, and reloadMu serializes reloads,
+	// so prev stays the serving generation until this reload commits.
 	prev := nw.cur.Load()
+	backoff := s.cfg.ReloadBackoff
 	var (
-		start    time.Time
-		st       *State
-		diff     *designdiff.Diff
-		analyses time.Duration
+		start time.Time
+		c     candidate
+		err   error
 	)
+retry:
 	for attempt := 0; ; attempt++ {
-		var err error
 		start = time.Now()
-		st, diff, analyses, err = nw.attempt(ctx, dir, req, prev)
-		if err == nil {
+		c, err = nw.attempt(ctx, req, prev)
+		var adm *AdmissionError
+		if err == nil || errors.As(err, &adm) {
 			break
 		}
-		var adm *AdmissionError
-		if errors.As(err, &adm) {
-			return err
-		}
-		s.reg.Counter(MetricReloads, lnet, telemetry.L("result", "error")).Inc()
+		// Each failed attempt counts here; the commit counts the rest.
+		s.reg.Counter(MetricReloads, telemetry.L("net", nw.name), telemetry.L("result", "error")).Inc()
 		if attempt == s.cfg.ReloadRetries || ctx.Err() != nil {
-			return nw.failReload(err)
+			break
 		}
 		s.log.Warn("load attempt failed; backing off",
 			"net", nw.name, "attempt", attempt+1, "backoff", backoff, "error", err)
@@ -633,57 +646,156 @@ func (nw *Network) reload(ctx context.Context, req reloadReq) error {
 		select {
 		case <-t.C:
 		case <-ctx.Done():
+			// Cancelled during the backoff: no further attempt runs.
 			t.Stop()
-			s.reg.Counter(MetricReloads, lnet, telemetry.L("result", "error")).Inc()
-			return nw.failReload(ctx.Err())
+			err = ctx.Err()
+			break retry
 		}
 		backoff *= 2
 	}
+	return nw.commit(req, prev, c, err, time.Since(start))
+}
+
+// attempt turns the reload's input into a candidate generation or an
+// error, invisibly to queries: it analyzes the input (a push's staging
+// directory, else the active directory), keeps prev when the input is
+// unchanged, diffs against prev, runs the admission gate, builds reach
+// and what-if, and last promotes a push's staging directory, so nothing
+// can fail after a promotion. It is the reload's one panic boundary: a
+// panic anywhere in it (a fault hook, a parser or stage — core re-raises
+// its workers' panics here — the diff, admission, reach, what-if or the
+// promotion) is the attempt's error and takes the retry path.
+func (nw *Network) attempt(ctx context.Context, req reloadReq, prev *State) (c candidate, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			c, err = candidate{}, fmt.Errorf("reload attempt panicked: %v", p)
+		}
+	}()
+	s := nw.s
+	dir := nw.activeDirPath()
+	if req.push != nil {
+		dir = req.push.staging
+	}
+	res, err := nw.load(ctx, dir)
+	if err != nil {
+		return c, err
+	}
+	if prev != nil && res.SnapshotKey != "" && prev.Res.SnapshotKey == res.SnapshotKey {
+		// The signature set is unchanged: equal content keys mean the
+		// new analysis is of byte-identical input, so the serving
+		// generation — with its warm analyses and query cache — already
+		// answers it. Keep it; swapping would only rebuild reach and
+		// what-if and purge the cache to arrive at the same answers.
+		return candidate{st: prev}, nil
+	}
+	if prev != nil {
+		// Admission gate: the candidate analyzed, but is it safe to serve
+		// in place of the serving design? A rejection fails the attempt
+		// typed; the commit quarantines it without degrading the network.
+		diff := res.Design.DiffFrom(prev.Res.Design)
+		delta := diff.Delta()
+		c.delta = &delta
+		if pol := s.cfg.Admission; pol.enabled() && !req.force {
+			if reasons, loss, errDiags := pol.evaluate(diff, res); len(reasons) > 0 {
+				return candidate{}, &AdmissionError{Reasons: reasons,
+					Record: newQuarantineRecord(req.trigger, reasons, loss, errDiags, prev.Seq)}
+			}
+		}
+	}
+	built := time.Now()
+	c.st = &State{Res: res, Reach: res.Design.Reachability(defaultRoute), Whatif: res.Design.Survivability()}
+	c.analyses = time.Since(built)
+	if req.push != nil {
+		if err := s.faults.Fire(telemetry.WithRegistry(ctx, s.reg), ingest.SitePromote); err != nil {
+			return candidate{}, fmt.Errorf("promoting pushed configs: %w", err)
+		}
+		if c.gen, err = req.push.store.Promote(req.push.staging); err != nil {
+			return candidate{}, fmt.Errorf("promoting pushed configs: %w", err)
+		}
+	}
+	return c, nil
+}
+
+// commit ends a reload and cannot fail: it publishes what the last
+// attempt produced and records the one outcome — ok, unchanged,
+// rejected (err is an *AdmissionError) or error — in the quarantine
+// record, the degraded state, the counters, the events and the log. A
+// new generation gets the seq after prev's (1 on a first load) and is
+// swapped in before its events go out, so a watcher reacting to them
+// queries the generation announced. An unpromoted staging directory is
+// discarded.
+func (nw *Network) commit(req reloadReq, prev *State, c candidate, err error, elapsed time.Duration) outcome {
+	s := nw.s
+	lnet := telemetry.L("net", nw.name)
+	if req.push != nil && c.gen == "" {
+		req.push.store.Discard(req.push.staging)
+	}
+	if s.pc != nil {
+		s.reg.Gauge(MetricCrossNetHits).Set(float64(s.pc.Stats().CrossHits))
+	}
+	var adm *AdmissionError
+	if errors.As(err, &adm) {
+		rec := adm.Record
+		nw.quarantine.Store(rec)
+		s.reg.Counter(MetricReloads, lnet, telemetry.L("result", "rejected")).Inc()
+		nw.emit(EvtDesignRejected, rejectedPayload{
+			Trigger: rec.Trigger, Reasons: rec.Reasons, Loss: rec.Loss,
+			ErrorDiags: rec.ErrorDiags, ServingSeq: rec.ServingSeq,
+		})
+		s.log.Warn("design rejected by admission control; last-good keeps serving",
+			"net", nw.name, "trigger", req.trigger,
+			"reasons", strings.Join(rec.Reasons, "; "), "serving_seq", rec.ServingSeq)
+		return outcome{result: "rejected", st: prev, err: err}
+	}
+	if err != nil {
+		// Given up: the network degrades, keeping the error for readiness
+		// probes, and its last-good design keeps serving.
+		nw.lastFail.Store(&reloadStatus{Err: err.Error(), At: time.Now()})
+		s.reg.Gauge(MetricNetReady, lnet).Set(0)
+		p := reloadFailedPayload{Error: err.Error()}
+		if prev != nil {
+			p.ServingSeq, p.HaveDesign = prev.Seq, true
+		}
+		nw.emit(EvtReloadFailed, p)
+		s.log.Error("load failed; serving last-good design if any",
+			"net", nw.name, "error", err, "have_design", p.HaveDesign)
+		return outcome{result: "error", st: prev, err: err}
+	}
+	st := c.st
+	if st != prev {
+		st.Seq, st.LoadedAt = 1, time.Now()
+		if prev != nil {
+			st.Seq = prev.Seq + 1
+		}
+		nw.cur.Store(st)
+		// Every older generation's cached responses are unreachable now
+		// (keys embed the seq); purge them rather than waiting for LRU
+		// pressure to age them out.
+		nw.qc.purge()
+		nw.qcEntries.Set(0)
+		nw.quarantine.Store(nil)
+	}
+	recovered := nw.lastFail.Swap(nil) != nil
+	nw.lastReloadNS.Store(int64(elapsed))
+	s.reg.Gauge(MetricNetReady, lnet).Set(1)
 	if st == prev {
-		wasDegraded := nw.degraded.Swap(false)
-		nw.lastReloadNS.Store(int64(time.Since(start)))
 		s.reg.Counter(MetricReloads, lnet, telemetry.L("result", "unchanged")).Inc()
-		s.reg.Gauge(MetricNetReady, lnet).Set(1)
-		s.observeCrossNetHits()
-		if wasDegraded {
-			nw.emit(EvtReadyRecovered, recoveredPayload{Seq: prev.Seq})
+		if recovered {
+			nw.emit(EvtReadyRecovered, recoveredPayload{Seq: st.Seq})
 		}
 		s.log.Info("design unchanged; keeping warm generation",
-			"net", nw.name, "seq", prev.Seq,
-			"elapsed", time.Since(start).Round(time.Millisecond))
-		return nil
+			"net", nw.name, "seq", st.Seq, "elapsed", elapsed.Round(time.Millisecond))
+		return outcome{result: "unchanged", st: st}
 	}
-	if req.promote != nil {
-		// Pushed configs: move the admitted staging dir into the
-		// generation chain before the swap, so the swapped-in design
-		// and the active directory change together or not at all.
-		gen, perr := req.promote()
-		if perr != nil {
-			s.reg.Counter(MetricReloads, lnet, telemetry.L("result", "error")).Inc()
-			return nw.failReload(fmt.Errorf("promoting pushed configs: %w", perr))
-		}
-		nw.setActiveDir(gen)
-		nw.emit(EvtConfigPushed, configPushedPayload{
-			Generation: filepath.Base(gen), Files: req.pushFiles, Bytes: req.pushBytes,
-		})
-	}
-	nw.cur.Store(st)
-	// Every older generation's cached responses are unreachable now
-	// (keys embed the seq); purge them rather than waiting for LRU
-	// pressure to age them out.
-	nw.qc.purge()
-	nw.qcEntries.Set(0)
-	nw.quarantine.Store(nil)
-	wasDegraded := nw.degraded.Swap(false)
-	nw.lastReloadNS.Store(int64(time.Since(start)))
 	s.reg.Counter(MetricReloads, lnet, telemetry.L("result", "ok")).Inc()
 	s.reg.Gauge(MetricDesignSeq, lnet).Set(float64(st.Seq))
-	s.reg.Gauge(MetricNetReady, lnet).Set(1)
-	s.observeCrossNetHits()
-	// Swap + design-diff events go out after the swap, so a watcher
-	// reacting to them queries the generation announced.
-	nw.emitSwapEvents(prev, st, diff)
-	if wasDegraded {
+	if c.gen != "" {
+		nw.emit(EvtConfigPushed, configPushedPayload{
+			Generation: filepath.Base(c.gen), Files: req.push.files, Bytes: req.push.bytes,
+		})
+	}
+	nw.emitSwapEvents(prev, st, c.delta)
+	if recovered {
 		nw.emit(EvtReadyRecovered, recoveredPayload{Seq: st.Seq})
 	}
 	res := st.Res
@@ -696,100 +808,27 @@ func (nw *Network) reload(ctx context.Context, req reloadReq) error {
 		"instances", len(res.Design.Instances.Instances),
 		"skipped_files", len(res.Skipped),
 		"files_reparsed", int64(s.reg.Gauge(core.MetricFilesReparsed).Value()),
-		"reach_whatif", analyses.Round(time.Millisecond),
+		"reach_whatif", c.analyses.Round(time.Millisecond),
 		"elapsed", res.Elapsed.Round(time.Millisecond))
-	return nil
+	return outcome{result: "ok", st: st, gen: c.gen}
 }
 
-// attempt is one reload attempt up to the swap; nothing it does is
-// visible to queries. It analyzes dir and, unless the input is
-// unchanged (it then returns prev), diffs the design against prev, runs
-// the admission gate, and builds the new generation whole: its reach
-// and what-if analyses, whose build time it also returns, are computed
-// here, snapshot restores included, so queries keep answering from
-// prev until the new generation is complete. It is the reload's one
-// panic boundary: a panic anywhere in it (a fault hook, a parser or
-// stage — core re-raises its workers' panics here — the diff,
-// admission, reach or what-if) becomes the attempt's error and takes
-// the same retry, backoff and failReload path as an analysis error.
-func (nw *Network) attempt(ctx context.Context, dir string, req reloadReq, prev *State) (
-	st *State, diff *designdiff.Diff, analyses time.Duration, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			st, diff, err = nil, nil, fmt.Errorf("reload attempt panicked: %v", p)
-		}
-	}()
-	res, err := nw.load(ctx, dir)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	if prev != nil && res.SnapshotKey != "" && prev.Res.SnapshotKey == res.SnapshotKey {
-		// The signature set is unchanged: equal content keys mean the
-		// new analysis is of byte-identical input, so the serving
-		// generation — with its warm analyses and query cache — already
-		// answers it. Keep it; swapping would only rebuild reach and
-		// what-if and purge the cache to arrive at the same answers. A
-		// pushed staging dir is simply discarded by the caller (promote
-		// never runs).
-		return prev, nil, 0, nil
-	}
-	// Admission gate: the candidate analyzed, but is it safe to serve?
-	// Compare against the serving design; a rejected candidate is
-	// quarantined and the reload fails typed — without degrading,
-	// because the last-good design is intact.
-	if prev != nil {
-		diff = res.Design.DiffFrom(prev.Res.Design)
-	}
-	s := nw.s
-	if pol := s.cfg.Admission; pol.enabled() && prev != nil && !req.force {
-		if reasons, loss, errDiags := pol.evaluate(diff, res); len(reasons) > 0 {
-			rec := newQuarantineRecord(req.trigger, reasons, loss, errDiags, prev.Seq)
-			nw.quarantine.Store(rec)
-			s.reg.Counter(MetricReloads, telemetry.L("net", nw.name), telemetry.L("result", "rejected")).Inc()
-			nw.emit(EvtDesignRejected, rejectedPayload{
-				Trigger: req.trigger, Reasons: reasons, Loss: loss,
-				ErrorDiags: errDiags, ServingSeq: prev.Seq,
-			})
-			s.log.Warn("design rejected by admission control; last-good keeps serving",
-				"net", nw.name, "trigger", req.trigger,
-				"reasons", strings.Join(reasons, "; "), "serving_seq", prev.Seq)
-			return nil, nil, 0, &AdmissionError{Reasons: reasons, Record: rec}
-		}
-	}
-	built := time.Now()
-	an, wa := res.Design.Reachability(defaultRoute), res.Design.Survivability()
-	analyses = time.Since(built)
-	return &State{Res: res, Seq: nw.seq.Add(1), LoadedAt: time.Now(), Reach: an, Whatif: wa}, diff, analyses, nil
-}
-
-// failReload records a given-up reload: the network degrades, keeps the
-// last error for readiness probes, and leaves its last-good design
-// untouched.
-func (nw *Network) failReload(err error) error {
-	s := nw.s
-	nw.degraded.Store(true)
-	nw.lastFail.Store(&reloadStatus{Err: err.Error(), At: time.Now()})
-	s.reg.Gauge(MetricNetReady, telemetry.L("net", nw.name)).Set(0)
-	s.observeCrossNetHits()
-	p := reloadFailedPayload{Error: err.Error()}
-	if st := nw.cur.Load(); st != nil {
-		p.ServingSeq, p.HaveDesign = st.Seq, true
-	}
-	nw.emit(EvtReloadFailed, p)
-	s.log.Error("load failed; serving last-good design if any",
-		"net", nw.name, "error", err, "have_design", p.HaveDesign)
-	return err
-}
-
-// ReloadAll (re)loads every network through the bounded fleet-wide
-// worker pool, in name order, and returns the first failure by name
-// order (every network still gets its attempt — one bad network must
-// not stop the rest of the fleet from loading).
+// ReloadAll (re)loads every network at once and returns the first
+// failure by name order; one bad network must not stop the rest of the
+// fleet from loading. The reload semaphore bounds how many analyze at a
+// time, and a network backing off holds no slot, so one network's
+// retries never hold back the others.
 func (s *Server) ReloadAll(ctx context.Context) error {
 	errs := make([]error, len(s.netNames))
-	experiments.RunPool(ctx, s.cfg.ReloadWorkers, len(s.netNames), func(i int) {
-		errs[i] = s.nets[s.netNames[i]].Reload(ctx)
-	})
+	var wg sync.WaitGroup
+	for i, name := range s.netNames {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = s.nets[name].Reload(ctx)
+		}()
+	}
+	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return err
 	}
