@@ -20,7 +20,10 @@
 # injected faults against a reference model of one network
 # (fuzzsmoke); benchsmoke runs the instrumented pipeline benches and the
 # simulator benches once so stage-instrumentation overhead and the
-# simulator's time and allocations stay visible in CI output, plus the
+# simulator's time and allocations stay visible in CI output (among them
+# BenchmarkSimrouteNet5, net5's cold simulation, and
+# BenchmarkSimrouteNet5Edit, the same after a one-line edit, reusing the
+# unedited generation's fixpoint), plus the
 # in-process query-stack bench (a cached hit and a miss per fleet
 # endpoint) so every CI log prints the hit path's allocations. The
 # operator-facing benchmark is not a make target: `bash perfbench/run.sh`

@@ -18,6 +18,7 @@ import (
 	"routinglens/internal/anonymize"
 	"routinglens/internal/ciscoparse"
 	"routinglens/internal/core"
+	"routinglens/internal/devmodel"
 	"routinglens/internal/experiments"
 	"routinglens/internal/instance"
 	"routinglens/internal/net15"
@@ -214,6 +215,44 @@ func BenchmarkSimrouteNet5(b *testing.B) {
 	}
 }
 
+// BenchmarkSimrouteNet5Edit measures what the simulator costs an rlensd
+// reload of net5 after a one-line edit: a fresh /32 static route on one
+// router, then New, Reuse from the unedited generation's Sim, Run and
+// the two network-wide reach views. BenchmarkSimrouteNet5 is the same
+// work with nothing to reuse, as on a cold start.
+func BenchmarkSimrouteNet5Edit(b *testing.B) {
+	ws := workspace(b)
+	na := ws.ByName("net5")
+	space := addrspace.Discover(addrspace.CollectSubnets(na.Net), addrspace.Options{})
+	ext := []simroute.ExternalRoute{{Prefix: mustPrefix("0.0.0.0/0")}}
+	prev := simroute.New(na.Graph, ext)
+	prev.Run()
+
+	edited := *na.Net
+	edited.Devices = append([]*devmodel.Device(nil), na.Net.Devices...)
+	i := len(edited.Devices) / 2
+	host := edited.Devices[i].Hostname
+	res, err := ciscoparse.Parse(host+".cfg", strings.NewReader(
+		ws.Corpus.ByName("net5").Configs[host]+"ip route 198.18.0.1 255.255.255.255 Null0\n"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	edited.Devices[i] = res.Device
+	model := instance.Compute(procgraph.Build(&edited, topology.Build(&edited)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := simroute.New(model.Graph, ext)
+		if moved := s.Reuse(prev); moved != 1 {
+			b.Fatalf("Reuse left %d prefixes to simulate, want the new /32 alone", moved)
+		}
+		s.Run()
+		an := reach.AnalyzeReduced(model, s, space)
+		an.HasDefaultRoute()
+		an.AdmittedExternalRoutes()
+	}
+}
+
 // BenchmarkFullReach is the 10k-router scale check of the reach path
 // rlensd serves: the cold analysis (a default route injected at every
 // external peer, then the two network-wide views) over the full
@@ -229,7 +268,7 @@ func BenchmarkFullReach(b *testing.B) {
 	ext := []simroute.ExternalRoute{{Prefix: netaddr.PrefixFrom(0, 0)}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a := reach.Analyze(design.Instances, design.AddressSpace, ext)
+		a := reach.Analyze(design.Instances, design.AddressSpace, ext, nil)
 		a.HasDefaultRoute()
 		a.AdmittedExternalRoutes()
 	}
@@ -241,7 +280,7 @@ func BenchmarkReachNet15(b *testing.B) {
 	space := addrspace.Discover(addrspace.CollectSubnets(na.Net), addrspace.Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		an := reach.Analyze(na.Model, space, net15.ExternalRoutes())
+		an := reach.Analyze(na.Model, space, net15.ExternalRoutes(), nil)
 		if an.HasDefaultRoute() {
 			b.Fatal("unexpected default route")
 		}

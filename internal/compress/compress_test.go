@@ -129,7 +129,7 @@ func checkEquivalence(t *testing.T, name string, d *core.Design) *compress.Quoti
 	q := compress.Compute(d.Instances)
 
 	if !q.Identity || len(d.Network.Devices) < 150 {
-		fullReach := reach.Analyze(d.Instances, d.AddressSpace, oracleExternal)
+		fullReach := reach.Analyze(d.Instances, d.AddressSpace, oracleExternal, nil)
 		qReach := q.Reach(d.AddressSpace, oracleExternal)
 		if got, want := renderReach(qReach), renderReach(fullReach); got != want {
 			t.Errorf("%s: quotient reach answers differ from full\nfull:\n%s\nquotient:\n%s",

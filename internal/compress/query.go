@@ -26,7 +26,7 @@ func (q *Quotient) Sim(external []simroute.ExternalRoute) *simroute.Sim {
 // IGP load) iterates the full model and resolves through the aliases.
 func (q *Quotient) Reach(space *addrspace.Structure, external []simroute.ExternalRoute) *reach.Analysis {
 	if q.Identity {
-		return reach.Analyze(q.Full, space, external)
+		return reach.Analyze(q.Full, space, external, nil)
 	}
 	return reach.AnalyzeReduced(q.Full, q.Sim(external), space)
 }

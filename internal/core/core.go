@@ -122,7 +122,7 @@ func (d *Design) Pathway(hostname string) (*pathway.Graph, error) {
 // Reachability runs the control-plane simulation with the given external
 // route injections and returns the reachability analysis.
 func (d *Design) Reachability(external []simroute.ExternalRoute) *reach.Analysis {
-	return reach.Analyze(d.Instances, d.AddressSpace, external)
+	return reach.Analyze(d.Instances, d.AddressSpace, external, nil)
 }
 
 // Summary renders a human-readable overview of the design: the routing

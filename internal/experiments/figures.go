@@ -317,7 +317,7 @@ func Figure12(ws *Workspace) Result {
 	res := Result{ID: "F12", Title: "Controlling external reachability in net15 (Figure 12)"}
 	na := ws.ByName("net15")
 	space := addrspace.Discover(addrspace.CollectSubnets(na.Net), addrspace.Options{})
-	an := reach.Analyze(na.Model, space, net15.ExternalRoutes())
+	an := reach.Analyze(na.Model, space, net15.ExternalRoutes(), nil)
 
 	admitted := an.AdmittedExternalRoutes()
 	t := report.NewTable("fact", "value")

@@ -65,7 +65,7 @@ func Table2(ws *Workspace) Result {
 	res := Result{ID: "T2", Title: "Address blocks mentioned by net15 redistribution policies (Table 2)"}
 	na := ws.ByName("net15")
 	space := addrspace.Discover(addrspace.CollectSubnets(na.Net), addrspace.Options{})
-	analysis := reach.Analyze(na.Model, space, net15.ExternalRoutes())
+	analysis := reach.Analyze(na.Model, space, net15.ExternalRoutes(), nil)
 
 	t := report.NewTable("policy", "device", "blocks mentioned")
 	byKey := make(map[string][]string)

@@ -29,17 +29,32 @@ type Analysis struct {
 	Model *instance.Model
 	Sim   *simroute.Sim
 	Space *addrspace.Structure
+	// Simulated is how many of the simulation's prefixes Analyze's run
+	// moved: all of them unless it reused an earlier analysis.
+	// AnalyzeReduced, handed a simulation that already ran, leaves it 0.
+	Simulated int
 
 	def bool
 	ext []netaddr.Prefix
 }
 
 // Analyze runs the control-plane simulation with the given external route
-// injections and prepares reachability queries.
-func Analyze(m *instance.Model, space *addrspace.Structure, external []simroute.ExternalRoute) *Analysis {
+// injections and prepares reachability queries. prev, when not nil, is an
+// earlier analysis of the same network, such as the generation a reload
+// replaces: the simulation copies prev's fixpoint for every prefix whose
+// origination is unchanged and runs only the rest (simroute.Sim.Reuse).
+// nil runs in full.
+func Analyze(m *instance.Model, space *addrspace.Structure, external []simroute.ExternalRoute, prev *Analysis) *Analysis {
 	sim := simroute.New(m.Graph, external)
+	var prevSim *simroute.Sim
+	if prev != nil {
+		prevSim = prev.Sim
+	}
+	simulated := sim.Reuse(prevSim)
 	sim.Run()
-	return AnalyzeReduced(m, sim, space)
+	a := AnalyzeReduced(m, sim, space)
+	a.Simulated = simulated
+	return a
 }
 
 // AnalyzeReduced prepares reachability queries for the full model from a

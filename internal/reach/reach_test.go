@@ -20,7 +20,7 @@ func net15Analysis(t *testing.T, perSite int) *Analysis {
 	}
 	m := instance.Compute(procgraph.Build(n, topology.Build(n)))
 	space := addrspace.Discover(addrspace.CollectSubnets(n), addrspace.Options{})
-	return Analyze(m, space, net15.ExternalRoutes())
+	return Analyze(m, space, net15.ExternalRoutes(), nil)
 }
 
 func TestNet15InstanceStructure(t *testing.T) {
@@ -147,7 +147,7 @@ func TestAnalyzeOnEmptyExternal(t *testing.T) {
 	}
 	m := instance.Compute(procgraph.Build(n, topology.Build(n)))
 	space := addrspace.Discover(addrspace.CollectSubnets(n), addrspace.Options{})
-	a := Analyze(m, space, nil)
+	a := Analyze(m, space, nil, nil)
 	if got := a.AdmittedExternalRoutes(); len(got) != 0 {
 		t.Errorf("no injections -> no external routes, got %v", got)
 	}
@@ -165,7 +165,7 @@ func TestBlockReachesBlockHostRoute(t *testing.T) {
 	space := addrspace.Discover(addrspace.CollectSubnets(n), addrspace.Options{})
 	a := Analyze(m, space, []simroute.ExternalRoute{
 		{Prefix: netaddr.MustParsePrefix("10.128.7.7/32"), AS: net15.LeftPeerAS},
-	})
+	}, nil)
 	if !a.BlockReachesBlock(net15.AB2, netaddr.MustParsePrefix("10.128.7.7/32")) {
 		t.Error("host route within admitted space should be reachable")
 	}

@@ -92,6 +92,11 @@ const (
 	// MetricCrossNetHits mirrors the shared parse cache's cross-network
 	// hit count: parses paid for by one network and reused by another.
 	MetricCrossNetHits = "routinglens_parsecache_cross_net_hits"
+	// MetricPrefixesSimulated is how many prefixes the simulation of a
+	// network's most recently published generation moved, by net: all of
+	// them on a first load, and after an edit only the prefixes whose
+	// origination changed, unless the edit changed how routes flow.
+	MetricPrefixesSimulated = "routinglens_reload_prefixes_simulated"
 )
 
 // Fault-injection sites the daemon exposes. Handler sites are
@@ -498,6 +503,7 @@ func registerHelp(reg *telemetry.Registry) {
 	reg.SetHelp(MetricNetReady, "Per-network readiness: 1 serving fresh, 0 empty or degraded.")
 	reg.SetHelp(MetricNetLatency, "Request latency, by net and endpoint.")
 	reg.SetHelp(MetricCrossNetHits, "Shared parse-cache hits where the parse was paid for by a different network.")
+	reg.SetHelp(MetricPrefixesSimulated, "Prefixes simulated for the most recently published generation; the rest were copied from the one it replaced, by net.")
 	reg.SetHelp(MetricQueryCacheHits, "Query responses served from the per-generation cache, by endpoint.")
 	reg.SetHelp(MetricQueryCacheMisses, "Queries computed because the per-generation cache had no entry, by endpoint.")
 	reg.SetHelp(MetricQueryCacheEvictions, "Query-cache entries evicted by the LRU bound.")
@@ -661,7 +667,10 @@ retry:
 // directory, else the active directory), keeps prev when the input is
 // unchanged, diffs against prev, runs the admission gate, builds reach
 // and what-if, and last promotes a push's staging directory, so nothing
-// can fail after a promotion. It is the reload's one panic boundary: a
+// can fail after a promotion. The reach build reuses prev's simulation:
+// it copies the fixpoint of every prefix whose origination the edit left
+// alone and simulates only the rest, reading prev while queries do and
+// keeping no reference into it. It is the reload's one panic boundary: a
 // panic anywhere in it (a fault hook, a parser or stage — core re-raises
 // its workers' panics here — the diff, admission, reach, what-if or the
 // promotion) is the attempt's error and takes the retry path.
@@ -703,7 +712,12 @@ func (nw *Network) attempt(ctx context.Context, req reloadReq, prev *State) (c c
 		}
 	}
 	built := time.Now()
-	c.st = &State{Res: res, Reach: res.Design.Reachability(defaultRoute), Whatif: res.Design.Survivability()}
+	var prevReach *reach.Analysis
+	if prev != nil {
+		prevReach = prev.Reach
+	}
+	d := res.Design
+	c.st = &State{Res: res, Reach: reach.Analyze(d.Instances, d.AddressSpace, defaultRoute, prevReach), Whatif: d.Survivability()}
 	c.analyses = time.Since(built)
 	if req.push != nil {
 		if err := s.faults.Fire(telemetry.WithRegistry(ctx, s.reg), ingest.SitePromote); err != nil {
@@ -789,6 +803,7 @@ func (nw *Network) commit(req reloadReq, prev *State, c candidate, err error, el
 	}
 	s.reg.Counter(MetricReloads, lnet, telemetry.L("result", "ok")).Inc()
 	s.reg.Gauge(MetricDesignSeq, lnet).Set(float64(st.Seq))
+	s.reg.Gauge(MetricPrefixesSimulated, lnet).Set(float64(st.Reach.Simulated))
 	if c.gen != "" {
 		nw.emit(EvtConfigPushed, configPushedPayload{
 			Generation: filepath.Base(c.gen), Files: req.push.files, Bytes: req.push.bytes,
@@ -808,6 +823,8 @@ func (nw *Network) commit(req reloadReq, prev *State, c candidate, err error, el
 		"instances", len(res.Design.Instances.Instances),
 		"skipped_files", len(res.Skipped),
 		"files_reparsed", int64(s.reg.Gauge(core.MetricFilesReparsed).Value()),
+		"prefixes_simulated", st.Reach.Simulated,
+		"prefixes", st.Reach.Sim.Prefixes(),
 		"reach_whatif", c.analyses.Round(time.Millisecond),
 		"elapsed", res.Elapsed.Round(time.Millisecond))
 	return outcome{result: "ok", st: st, gen: c.gen}

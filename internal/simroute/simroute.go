@@ -22,6 +22,11 @@
 // sorted lists. Router-RIB selection is not stored: queries select by
 // administrative distance from the device's local and process RIBs when
 // asked, and build Route and Selected values only for what they return.
+//
+// Reuse. The fixpoint factorizes by prefix, so when two simulations move
+// routes over the same flows, Reuse copies an earlier one's fixpoint for
+// every prefix whose origination is unchanged, and Run then moves only
+// the rest.
 package simroute
 
 import (
@@ -229,7 +234,8 @@ type localRoute struct {
 
 // rib is a monotone route set keyed by prefix ID. Every insertion or
 // attribute change appends the prefix ID to log, so the fixpoint loop's
-// edges process deltas instead of rescanning the whole RIB.
+// edges process deltas instead of rescanning the whole RIB. The log is
+// Run's worklist only: Run frees it when it returns.
 type rib struct {
 	slots []slot       // flow targets: indexed by prefix ID
 	local []localRoute // local RIBs: sorted by prefix ID
@@ -307,6 +313,7 @@ type procRIB struct {
 type Sim struct {
 	Graph *procgraph.Graph
 
+	external []ExternalRoute  // the injections New was given
 	prefixes []netaddr.Prefix // by prefix ID, in address order
 	trie     []trieNode
 	labels   *interner
@@ -370,17 +377,17 @@ type Selected struct {
 // injected at all external peers).
 func New(g *procgraph.Graph, external []ExternalRoute) *Sim {
 	s := &Sim{
-		Graph:   g,
-		labels:  newInterner(),
-		nodeIdx: make(map[*procgraph.Node]int32, len(g.Nodes)),
-		ribs:    make([]rib, len(g.Nodes)),
-		devs:    make(map[*devmodel.Device]devRIBs, len(g.Network.Devices)),
+		Graph:    g,
+		external: slices.Clone(external),
+		labels:   newInterner(),
+		nodeIdx:  make(map[*procgraph.Node]int32, len(g.Nodes)),
+		ribs:     make([]rib, len(g.Nodes)),
+		devs:     make(map[*devmodel.Device]devRIBs, len(g.Network.Devices)),
 	}
 	for i, n := range g.Nodes {
 		s.nodeIdx[n] = int32(i)
 	}
-	origins := s.originateLocal(nil)
-	origins = s.injectExternal(origins, external)
+	origins := s.origins()
 	s.internPrefixes(origins)
 
 	// Flow targets get one array slot per prefix, carved from one backing
@@ -438,6 +445,12 @@ type origin struct {
 	node   int32
 	prefix netaddr.Prefix
 	label  string
+}
+
+// origins lists the simulation's origination events: local seeding, then
+// the external injections.
+func (s *Sim) origins() []origin {
+	return s.injectExternal(s.originateLocal(nil), s.external)
 }
 
 // originateLocal records the seeding of local RIBs with connected subnets
@@ -551,6 +564,9 @@ func (s *Sim) lookup(p netaddr.Prefix) int32 {
 // prefixes originated in New, and every route's labels are drawn from the
 // finite set of origins and route-map tags, so the loop stops after at
 // most (flow-target nodes × prefixes × (labels + 1)) + 1 rounds.
+//
+// The logs are only Run's worklists, so Run frees them when it returns:
+// on net5 they outgrow the RIBs themselves.
 func (s *Sim) Run() int {
 	// cursor[i] is how much of its source log flow i has consumed.
 	cursor := make([]int, len(s.flows))
@@ -574,6 +590,9 @@ func (s *Sim) Run() int {
 			}
 		}
 		if !changed {
+			for i := range s.ribs {
+				s.ribs[i].log = nil
+			}
 			return rounds
 		}
 	}

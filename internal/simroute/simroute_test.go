@@ -334,3 +334,38 @@ func TestRunTerminates(t *testing.T) {
 		t.Errorf("rounds = %d, expected quick fixpoint", rounds)
 	}
 }
+
+// TestRunFreesLogs pins that the logs, Run's worklists, do not outlive
+// it, whether the run was full or reused an earlier fixpoint: a serving
+// generation keeps only its RIBs.
+func TestRunFreesLogs(t *testing.T) {
+	n, err := paperexample.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := procgraph.Build(n, topology.Build(n))
+	ext := []ExternalRoute{{Prefix: netaddr.MustParsePrefix("0.0.0.0/0")}}
+	check := func(what string, s *Sim) {
+		t.Helper()
+		for i, rb := range s.ribs {
+			if rb.log != nil {
+				t.Errorf("%s: %s keeps a log of %d entries (capacity %d) after Run",
+					what, s.Graph.Nodes[i].ID(), len(rb.log), cap(rb.log))
+			}
+		}
+	}
+	full := New(g, ext)
+	logged := 0
+	for _, rb := range full.ribs {
+		logged += len(rb.log)
+	}
+	if logged == 0 {
+		t.Fatal("New logged no origination")
+	}
+	full.Run()
+	check("full run", full)
+	reused := New(g, ext)
+	reused.Reuse(full)
+	reused.Run()
+	check("reusing run", reused)
+}
