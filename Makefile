@@ -5,7 +5,13 @@
 # build and vet of the perfbench module, which imports internal packages
 # (core, compress, simroute, reach, whatif, pathway, parsecache,
 # snapshot, telemetry) from its layers replay, so a change that breaks
-# it fails here rather than on the next traced benchmark run; tier2
+# it fails here rather than on the next traced benchmark run. tier1
+# also fails when anything outside perfbench/ starts using what only
+# perfbench's layer replay keeps alive until the next benchmark change
+# deletes it: when `go list -deps ./cmd/... ./examples/... .` lists
+# internal/compress, or when a non-test .go file outside perfbench/
+# calls core.WithCache, core.WithCacheOrigin or parsecache.New (a reload
+# reuses the serving generation's Result instead of a parse cache); tier2
 # repeats vet and adds the race detector over every package — that
 # includes the worker pools in core/experiments, the telemetry layer
 # they share, instance.Model's edge indexes under concurrent readers,
@@ -40,6 +46,12 @@ tier1:
 		echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 	go run ./tools/metriclint
 	go -C perfbench build ./... && go -C perfbench vet ./...
+	@if go list -deps ./cmd/... ./examples/... . | grep -qx 'routinglens/internal/compress'; then \
+		echo "internal/compress is linked outside perfbench/"; exit 1; fi
+	@callers="$$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=perfbench \
+		'core\.WithCache(Origin)?\(|parsecache\.New\(' .)"; if [ -n "$$callers" ]; then \
+		echo "only perfbench/ may call core.WithCache, core.WithCacheOrigin or parsecache.New:"; \
+		echo "$$callers"; exit 1; fi
 
 tier2: fuzzsmoke
 	go vet ./... && go test -race ./...

@@ -44,12 +44,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"routinglens/internal/core"
 	"routinglens/internal/diag"
 	"routinglens/internal/netaddr"
-	"routinglens/internal/parsecache"
 	"routinglens/internal/simroute"
 	"routinglens/internal/telemetry"
 )
@@ -94,30 +94,27 @@ func main() {
 	ctx, stop := tele.Context()
 	defer stop()
 
-	// One parse cache is shared across every analysis this run performs:
-	// -diff's second AnalyzeDir re-parses only the files that actually
-	// differ between the two snapshots.
 	opts := []core.AnalyzerOption{
 		core.WithParallelism(tele.Parallelism()),
 		core.WithFailFast(tele.FailFast),
-		core.WithCache(parsecache.New(parsecache.DefaultMaxEntries, 0)),
 	}
 	if *snapshotDir != "" {
 		opts = append(opts, core.WithSnapshotDir(*snapshotDir))
 	}
 	analyzer := core.NewAnalyzer(opts...)
-	design, parseDiags, err := analyzer.AnalyzeDir(ctx, *dir)
+	res, err := analyzer.AnalyzeDirResult(ctx, filepath.Base(filepath.Clean(*dir)), *dir, nil)
 	if err != nil {
 		// A cancelled or timed-out run still reports whatever diagnostics
 		// the finished workers produced, so an interrupt is a clean
 		// partial result instead of silence.
-		if ctx.Err() != nil && len(parseDiags) > 0 {
+		if ctx.Err() != nil && res != nil && len(res.Diagnostics) > 0 {
 			fmt.Fprintf(os.Stderr, "rdesign: interrupted; partial diagnostics from %s:\n", *dir)
-			printDiagnostics(parseDiags, true)
+			printDiagnostics(res.Diagnostics, true)
 		}
 		fmt.Fprintf(os.Stderr, "rdesign: %v\n", err)
 		exit(tele, 1)
 	}
+	design, parseDiags := res.Design, res.Diagnostics
 	if skipped := core.SkippedFiles(parseDiags); len(skipped) > 0 {
 		fmt.Fprintf(os.Stderr, "rdesign: skipped %d unparseable file(s): %s\n",
 			len(skipped), strings.Join(skipped, ", "))
@@ -175,12 +172,14 @@ func main() {
 				in.ID, in.Label(), len(mp.Covers[in]))
 		}
 	case *diffDir != "":
-		older, _, err := analyzer.AnalyzeDir(ctx, *diffDir)
+		// Given the first analysis, the older one parses only the files
+		// that differ between the two directories.
+		older, err := analyzer.AnalyzeDirResult(ctx, filepath.Base(filepath.Clean(*diffDir)), *diffDir, res)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "rdesign: %v\n", err)
 			exit(tele, 1)
 		}
-		fmt.Print(design.DiffFrom(older).String())
+		fmt.Print(design.DiffFrom(older.Design).String())
 	case *doAudit:
 		rep := design.Audit()
 		fmt.Print(rep.Summary())

@@ -17,8 +17,7 @@
 // Endpoints (NET is a network name; GET /v1/nets lists them):
 //
 //	GET  /v1/nets                   fleet discovery: every network, its
-//	                                generation, readiness, reload facts,
-//	                                and the shared parse-cache counters
+//	                                generation, readiness and reload facts
 //	GET  /v1/nets/NET/summary       design overview (?format=text for the CLI table)
 //	GET  /v1/nets/NET/pathway       route pathway graph (?router=NAME[&format=text])
 //	GET  /v1/nets/NET/reach         external reachability; ?src=P&dst=P for block-to-block
@@ -77,16 +76,16 @@
 // up (healthz 200, that network's queries 503) so an operator can fix
 // the configs and POST its reload.
 //
-// Caching: reloads are incremental — one content-addressed parse cache
-// (-parse-cache, entries; 0 disables) is shared by every network with
-// per-network origin tracking, so identical boilerplate files across
-// networks are parsed once (routinglens_parsecache_cross_net_hits
-// counts the sharing) and re-parsed only when their normalized content
-// changes. Each network's loaded generation fronts its query endpoints
-// with a response LRU (-query-cache, entries; negative disables) that a
-// reload swap invalidates wholesale. Each reload builds the new
-// generation's reachability and what-if analyses before publishing it,
-// so no query computes either.
+// Caching: the serving generation is the reload's cache. A reload of
+// byte-identical input (a manual reload, a watcher poll of touched files,
+// an identical push) answers "unchanged" and keeps that generation; any
+// other parses only the files the serving generation has not parsed and
+// simulates only the prefixes the edit touched. Only a network's first
+// load reads its -snapshot-dir snapshot. Each generation fronts its
+// query endpoints with a response LRU (-query-cache, entries; negative
+// disables) that a reload swap invalidates wholesale. Each reload builds
+// the new generation's reachability and what-if analyses before
+// publishing it, so no query computes either.
 //
 // Continuous ingestion: -watch-configs polls every directory-backed
 // network's config source on a jittered interval and reloads on change;
@@ -134,7 +133,6 @@ import (
 
 	"routinglens/internal/core"
 	"routinglens/internal/faultinject"
-	"routinglens/internal/parsecache"
 	"routinglens/internal/serve"
 	"routinglens/internal/telemetry"
 )
@@ -149,12 +147,11 @@ func main() {
 	reloadBackoff := flag.Duration("reload-backoff", 250*time.Millisecond, "first reload retry backoff; doubles per attempt")
 	reloadWorkers := flag.Int("reload-workers", 2, "fleet-wide bound on concurrently running analyses")
 	shutdownGrace := flag.Duration("shutdown-grace", 10*time.Second, "how long SIGTERM/SIGINT waits for in-flight requests to drain")
-	parseCache := flag.Int("parse-cache", parsecache.DefaultMaxEntries, "shared parse-cache entry bound; reloads re-parse only changed files (0 disables)")
 	queryCache := flag.Int("query-cache", 0, "query-cache entry bound per network per generation (0 uses the default 1024; negative disables)")
 	eventsBuffer := flag.Int("events-buffer", 0, "per-network design-drift event ring bound, in events (0 uses the default 1024)")
 	slowQuery := flag.Duration("slow-query", 0, "latency threshold for slow-query logging and query.slow events (0 uses the default 500ms; negative disables)")
 	watchHeartbeat := flag.Duration("watch-heartbeat", 15*time.Second, "idle keep-alive interval of the watch streams")
-	snapshotDir := flag.String("snapshot-dir", "", "directory of analyzed-design snapshots (one per network): cold starts restore from them in milliseconds, no-change reloads keep the warm generation, and every full analysis refreshes them")
+	snapshotDir := flag.String("snapshot-dir", "", "directory of analyzed-design snapshots (one per network): a network's first load restores from its snapshot in milliseconds, and every reload that parses refreshes it")
 	ingestDir := flag.String("ingest-dir", "", "root of the pushed-configuration generation chains, one subdirectory per network (default: a process-lifetime temp dir)")
 	watchConfigs := flag.Duration("watch-configs", 0, "poll each network's config directory on this jittered interval and reload on change (0 disables)")
 	watchMaxBackoff := flag.Duration("watch-max-backoff", 2*time.Minute, "cap on a failing config watcher's exponential poll backoff")
@@ -195,13 +192,6 @@ func main() {
 		telemetry.Logger().Warn("fault injection armed — this is a testing mode", "rules", *faults)
 	}
 
-	// One parse cache for the whole fleet: serve gives each network's
-	// analyzer its own origin, so /v1/nets can report how many parses
-	// crossed network boundaries.
-	var pc *parsecache.Cache
-	if *parseCache > 0 {
-		pc = parsecache.New(*parseCache, 0)
-	}
 	cfg := serve.Config{
 		CorpusDir: *corpus,
 		AnalyzerOptions: []core.AnalyzerOption{
@@ -209,7 +199,6 @@ func main() {
 			core.WithFailFast(tele.FailFast),
 			core.WithFaults(injector),
 		},
-		ParseCache:  pc,
 		SnapshotDir: *snapshotDir,
 		Admission: &serve.AdmissionPolicy{
 			MaxRouterLossPct:    *admitMaxLoss,

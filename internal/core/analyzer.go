@@ -29,11 +29,12 @@ import (
 	"routinglens/internal/topology"
 )
 
-// Fault-injection sites the analyzer's cache path exposes. Both degrade
-// rather than fail: an injected (or real) cache error or panic on load
-// is treated as a miss and the file is re-parsed; on store the result is
-// simply not cached. Either way the analysis output is byte-identical to
-// an uncached run — the cache can be poisoned, never the result.
+// Fault-injection sites of a WithCache analyzer's cache path. Both
+// degrade rather than fail: an injected (or real) cache error or panic on
+// load is treated as a miss and the file is re-parsed; on store the
+// result is simply not cached. Either way the analysis output is
+// byte-identical to an uncached run — the cache can be poisoned, never
+// the result.
 const (
 	SiteCacheLoad  = "parsecache.load"
 	SiteCacheStore = "parsecache.store"
@@ -54,8 +55,9 @@ const (
 // the single entry point behind the public routinglens API: build one
 // with NewAnalyzer, then call AnalyzeDir, AnalyzeConfigs, or Analyze any
 // number of times, from any number of goroutines. It holds no state
-// between calls: everything incremental lives in the attached parse
-// cache and snapshot directory, both addressed by file content.
+// between calls: a later analysis reuses the previous Result its caller
+// hands back to AnalyzeDirResult, and on a cold start the snapshot
+// directory, both addressed by file content.
 //
 // Regardless of parallelism the output is deterministic: devices appear
 // in sorted file-name order, diagnostics are sorted by (file, line,
@@ -116,6 +118,9 @@ func WithFailFast(ff bool) AnalyzerOption {
 // would produce fresh, and the final diagnostics ordering is the same
 // sorted order as always. Parse failures are never cached. A nil cache
 // is valid and disables memoization.
+// It stays, with WithCacheOrigin and the parsecache.* fault sites, only
+// for the benchmark's layer replay (perfbench/layers); make tier1 fails
+// if anything else calls it. Analyses reuse the previous Result instead.
 func WithCache(c *parsecache.Cache) AnalyzerOption {
 	return func(a *Analyzer) { a.cache = c }
 }
@@ -123,24 +128,23 @@ func WithCache(c *parsecache.Cache) AnalyzerOption {
 // WithCacheOrigin names this analyzer's traffic on a shared parse cache
 // (typically the network being analyzed). The origin changes nothing
 // about correctness — keys stay (dialect, name, content hash) — it only
-// feeds the cache's cross-origin accounting, so a fleet server sharing
-// one cache across networks can prove identical boilerplate files are
-// parsed once. The default (empty) origin opts out of that accounting.
+// feeds the cache's cross-origin accounting. The default (empty) origin
+// opts out of it. It stays only for the benchmark's layer replay.
 func WithCacheOrigin(origin string) AnalyzerOption {
 	return func(a *Analyzer) { a.cacheOrigin = origin }
 }
 
-// WithSnapshotDir attaches an analyzed-design snapshot directory.
-// AnalyzeDir first computes the content key of the directory's file
-// signatures and tries to restore the analysis from the network's
-// `<name>.rlsnap` file; on a hit the design is rebuilt from the
-// snapshotted device tree in milliseconds, and the parse cache is
-// warmed so the next reload stays incremental. On a miss — or on any
-// corrupt, truncated, or version-skewed snapshot, which is refused and
-// counted in routinglens_snapshot_invalid_total — the full analysis
-// runs and its result refreshes the snapshot. Either way the output is
-// byte-identical to an un-snapshotted run: slower, never wrong, the
-// same policy as the parse cache. Empty disables.
+// WithSnapshotDir attaches an analyzed-design snapshot directory. An
+// analysis with no previous Result (a cold start) first computes the
+// directory's input key and tries to restore the analysis from the
+// network's `<name>.rlsnap` file; on a hit the design is rebuilt from the
+// snapshotted device tree in milliseconds, with the parse table a later
+// reload reuses. On a miss — or on any corrupt, truncated, or
+// version-skewed snapshot, which is refused and counted in
+// routinglens_snapshot_invalid_total — the full analysis runs. Every
+// analysis that parses refreshes the snapshot. Either way the output is
+// byte-identical to an un-snapshotted run: slower, never wrong. Empty
+// disables.
 func WithSnapshotDir(dir string) AnalyzerOption {
 	return func(a *Analyzer) { a.snapDir = dir }
 }
@@ -187,9 +191,9 @@ func (a *Analyzer) checkDialect() error {
 
 // resolveDialect decides which front end a file goes to: the forced
 // hint, or a per-file sniff under DialectAuto. It is a pure function of
-// (hint, content), which is what lets the parse cache key on the
-// resolved dialect instead of the hint — an auto-sniffed IOS file and a
-// forced-IOS file take the same parse path, so they may share an entry.
+// (hint, content), which is what lets a file key carry the resolved
+// dialect instead of the hint — an auto-sniffed IOS file and a
+// forced-IOS file take the same parse path, so they may share a parse.
 func (a *Analyzer) resolveDialect(text string) string {
 	switch a.dialect {
 	case DialectJunOS:
@@ -222,32 +226,11 @@ func (a *Analyzer) parseFile(name, text string) (*devmodel.Device, []Diagnostic,
 	return res.Device, fromCisco(res.Diagnostics), DialectIOS, nil
 }
 
-// AnalyzeDir parses every regular file in dir as a router configuration
-// and extracts the network's routing design, naming the network after
-// the directory's base name. The returned diagnostics are warnings about
-// individual malformed lines; they do not prevent analysis.
-//
-// Every file is read and content-hashed on every call. With a parse
-// cache attached, a file whose content hash is already cached is not
-// re-parsed, so re-analysis after a one-file edit parses one file. With
-// a snapshot directory attached (WithSnapshotDir), a content-hash set
-// that matches the network's snapshot skips the parse entirely and
-// restores the design from the snapshot.
-func (a *Analyzer) AnalyzeDir(ctx context.Context, dir string) (*Design, []Diagnostic, error) {
-	design, diags, _, _, err := a.analyzeDir(ctx, filepath.Base(filepath.Clean(dir)), dir)
-	return design, diags, err
-}
-
-// analyzeDir analyzes dir as network name, plus the snapshot
-// bookkeeping: it returns the content key of the directory's file
-// signatures (empty without a snapshot directory) and whether the design
-// was restored rather than analyzed. Each file's parse-cache key is
-// computed once, here, and serves both the snapshot key and the parse
-// cache lookup.
-func (a *Analyzer) analyzeDir(ctx context.Context, name, dir string) (*Design, []Diagnostic, string, bool, error) {
+// readDir reads every regular file in dir as one parse input.
+func (a *Analyzer) readDir(dir string) ([]fileInput, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, nil, "", false, err
+		return nil, err
 	}
 	inputs := make([]fileInput, 0, len(entries))
 	for _, e := range entries {
@@ -256,95 +239,72 @@ func (a *Analyzer) analyzeDir(ctx context.Context, name, dir string) (*Design, [
 		}
 		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
-			return nil, nil, "", false, err
+			return nil, err
 		}
 		inputs = append(inputs, a.newInput(e.Name(), string(data)))
 	}
-	if a.snapDir == "" {
-		design, diags, err := a.analyzeInputs(ctx, name, inputs)
-		return design, diags, "", false, err
-	}
-
-	fsigs := make([]snapshot.FileSig, len(inputs))
-	for i, in := range inputs {
-		fsigs[i] = snapshot.FileSig{Dialect: in.key.Dialect, Name: in.key.Name, Sum: in.key.Sum, Size: int64(len(in.text))}
-	}
-	snapKey := snapshot.Key(AnalysisVersion, fsigs)
-	if design, diags, ok := a.snapshotLoad(ctx, name, snapKey); ok {
-		return design, diags, snapKey, true, nil
-	}
-	design, diags, err := a.analyzeInputs(ctx, name, inputs)
-	if err == nil {
-		a.snapshotStore(ctx, name, snapKey, design, diags, fsigs)
-	}
-	return design, diags, snapKey, false, err
+	return inputs, nil
 }
 
 // fileInput is one configuration handed to the parse stage: its name,
-// its text, and its parse-cache key (zero when nothing consumes keys).
+// its text, and its file key.
 type fileInput struct {
 	name string
 	text string
 	key  parsecache.Key
 }
 
-// newInput builds one parse-stage input, computing its parse-cache key
-// once when a parse cache memoizes on it or a snapshot key is built
-// from it.
+// newInput builds one parse-stage input, computing its file key: what a
+// Result's parse table and the input key are keyed on.
 func (a *Analyzer) newInput(name, text string) fileInput {
-	in := fileInput{name: name, text: text}
-	if a.cache != nil || a.snapDir != "" {
-		in.key = parsecache.KeyFor(a.resolveDialect(text), name, text)
+	return fileInput{name: name, text: text, key: parsecache.KeyFor(a.resolveDialect(text), name, text)}
+}
+
+// fileSigs lists the inputs' snapshot signatures, which Result.InputKey
+// hashes.
+func fileSigs(inputs []fileInput) []snapshot.FileSig {
+	fsigs := make([]snapshot.FileSig, len(inputs))
+	for i, in := range inputs {
+		fsigs[i] = snapshot.FileSig{Dialect: in.key.Dialect, Name: in.key.Name, Sum: in.key.Sum, Size: int64(len(in.text))}
 	}
-	return in
+	return fsigs
 }
 
 // parsed is the outcome of one file parse, merged in input order after
 // the worker pool drains.
 type parsed struct {
-	dev     *devmodel.Device
-	diags   []Diagnostic
-	dialect string
-	dur     time.Duration
-	err     error
-	cached  bool // served from the parse cache instead of a fresh parse
+	cacheEntry
+	dur    time.Duration
+	err    error
+	cached bool // taken from the previous Result or the parse cache, not parsed
 }
 
-// cacheEntry is what one successful parse stores in the parse cache.
-// Everything in it is immutable after the parse: the pipeline stages
-// never mutate a Device, and the merge loop copies diagnostics out by
-// value, so replaying the same entry into any number of later analyses
-// is safe.
+// cacheEntry is one successful parse, as a Result's parse table (and a
+// WithCache parse cache) keeps it. Everything in it is immutable after
+// the parse: the pipeline stages never mutate a Device, and the merge
+// loop copies diagnostics out by value, so replaying the same entry into
+// any number of later analyses is safe.
 type cacheEntry struct {
 	dev     *devmodel.Device
 	diags   []Diagnostic
 	dialect string
 }
 
-// AnalyzeConfigs parses an in-memory set of configurations (hostname or
-// file name -> text) and analyzes the network. Files are distributed
-// over the analyzer's worker pool; a "parse" span wraps the stage with
-// one "parse-worker" child per worker and one "parse-file" child per
-// configuration. Cancelling ctx stops the workers: no new file is picked
-// up and the call returns ctx's error alongside the (sorted) diagnostics
-// of the files that had already parsed, so interrupted runs can still
-// report partial findings.
-func (a *Analyzer) AnalyzeConfigs(ctx context.Context, name string, configs map[string]string) (*Design, []Diagnostic, error) {
-	inputs := make([]fileInput, 0, len(configs))
-	for fn, text := range configs {
-		inputs = append(inputs, a.newInput(fn, text))
-	}
-	return a.analyzeInputs(ctx, name, inputs)
-}
-
-// analyzeInputs is the shared parse+analyze engine under AnalyzeDir and
-// AnalyzeConfigs. It sorts inputs by name in place, fans the parses out
-// over the worker pool, and merges deterministically.
-func (a *Analyzer) analyzeInputs(ctx context.Context, name string, inputs []fileInput) (*Design, []Diagnostic, error) {
+// analyzeInputs is the shared parse+analyze engine under AnalyzeDirResult
+// and AnalyzeConfigsResult. It sorts inputs by name in place, fans the
+// parses out over the worker pool, and merges deterministically. A file
+// whose key is in prev's parse table is taken from there instead of
+// parsed. On a parse error (cancellation, or fail-fast) the Result holds
+// only the diagnostics of the files that parsed.
+func (a *Analyzer) analyzeInputs(ctx context.Context, name string, inputs []fileInput, prev *Result) (*Result, error) {
 	if err := a.checkDialect(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	sort.Slice(inputs, func(i, j int) bool { return inputs[i].name < inputs[j].name })
+	var reuse map[parsecache.Key]cacheEntry
+	if prev != nil {
+		reuse = prev.parses
+	}
 
 	reg := telemetry.RegistryFrom(ctx)
 	registerHelp(reg)
@@ -362,9 +322,9 @@ func (a *Analyzer) analyzeInputs(ctx context.Context, name string, inputs []file
 			if err := ctx.Err(); err != nil {
 				parseSpan.Fail(err)
 				parseSpan.End()
-				return nil, partialDiags(results), err
+				return &Result{Diagnostics: partialDiags(results)}, err
 			}
-			results[i] = a.parseInput(pctx, inputs[i])
+			results[i] = a.parseInput(pctx, inputs[i], reuse)
 			if results[i].err != nil && a.failFast {
 				break
 			}
@@ -384,7 +344,7 @@ func (a *Analyzer) analyzeInputs(ctx context.Context, name string, inputs []file
 					wspan.Fail(err)
 					return
 				}
-				results[i] = a.parseInput(wctx, inputs[i])
+				results[i] = a.parseInput(wctx, inputs[i], reuse)
 				if results[i].err != nil && a.failFast {
 					failed.Store(true)
 					return
@@ -400,11 +360,12 @@ func (a *Analyzer) analyzeInputs(ctx context.Context, name string, inputs []file
 	if err := ctx.Err(); err != nil {
 		parseSpan.Fail(err)
 		parseSpan.End()
-		return nil, partialDiags(results), err
+		return &Result{Diagnostics: partialDiags(results)}, err
 	}
 
 	// Merge in input order so worker scheduling never shows in the output.
 	n := &devmodel.Network{Name: name}
+	parses := make(map[parsecache.Key]cacheEntry, len(inputs))
 	var diags []Diagnostic
 	var totalLines int64
 	var cacheHits, reparsed int
@@ -416,9 +377,9 @@ func (a *Analyzer) analyzeInputs(ctx context.Context, name string, inputs []file
 			reparsed++
 		}
 	}
+	reg.Counter(MetricCacheHits).Add(int64(cacheHits))
+	reg.Counter(MetricCacheMisses).Add(int64(reparsed))
 	if a.cache != nil {
-		reg.Counter(MetricCacheHits).Add(int64(cacheHits))
-		reg.Counter(MetricCacheMisses).Add(int64(reparsed))
 		reg.Gauge(MetricCacheEntries).Set(float64(a.cache.Len()))
 	}
 	// How many files this run had to parse fresh — the incremental-reload
@@ -431,7 +392,7 @@ func (a *Analyzer) analyzeInputs(ctx context.Context, name string, inputs []file
 				parseSpan.Fail(err)
 				parseSpan.End()
 				sortDiagnostics(diags)
-				return nil, diags, err
+				return &Result{Diagnostics: diags}, err
 			}
 			// Lenient (the default): the file is dropped from the network,
 			// the failure becomes a severity-error diagnostic, and analysis
@@ -461,6 +422,7 @@ func (a *Analyzer) analyzeInputs(ctx context.Context, name string, inputs []file
 			"file", inputs[i].name, "dialect", r.dialect, "lines", r.dev.RawLines,
 			"diagnostics", len(r.diags), "duration", r.dur)
 		n.Devices = append(n.Devices, r.dev)
+		parses[inputs[i].key] = r.cacheEntry
 		diags = append(diags, r.diags...)
 	}
 	sortDiagnostics(diags)
@@ -472,7 +434,7 @@ func (a *Analyzer) analyzeInputs(ctx context.Context, name string, inputs []file
 		"files", len(inputs), "lines", totalLines, "workers", workers,
 		"cache_hits", cacheHits, "reparsed", reparsed,
 		"diagnostics", len(diags), "duration", parseDur.Round(time.Microsecond))
-	return a.Analyze(ctx, n), diags, nil
+	return &Result{Design: a.Analyze(ctx, n), Diagnostics: diags, Skipped: SkippedFiles(diags), parses: parses}, nil
 }
 
 // partialDiags salvages the diagnostics of whatever files finished
@@ -489,9 +451,13 @@ func partialDiags(results []parsed) []Diagnostic {
 	return diags
 }
 
-// parseInput parses one file under a "parse-file" span, replaying the
-// parse cache's entry for the file's content key when one is attached.
-func (a *Analyzer) parseInput(ctx context.Context, in fileInput) parsed {
+// parseInput parses one file under a "parse-file" span. A file whose key
+// is in reuse, the previous Result's parse table, is taken from there;
+// with a parse cache attached, a cached entry is replayed.
+func (a *Analyzer) parseInput(ctx context.Context, in fileInput, reuse map[parsecache.Key]cacheEntry) parsed {
+	if e, ok := reuse[in.key]; ok {
+		return parsed{cacheEntry: e, cached: true}
+	}
 	_, fileSpan := telemetry.StartSpan(ctx, "parse-file")
 	if a.cache != nil {
 		if p, ok := a.cacheLoad(ctx, in.key); ok {
@@ -500,12 +466,13 @@ func (a *Analyzer) parseInput(ctx context.Context, in fileInput) parsed {
 		}
 	}
 	dev, ds, dialect, err := a.parseFile(in.name, in.text)
+	e := cacheEntry{dev: dev, diags: ds, dialect: dialect}
 	if err != nil {
 		fileSpan.Fail(err)
 	} else if a.cache != nil {
-		a.cacheStore(ctx, in.key, &cacheEntry{dev: dev, diags: ds, dialect: dialect}, int64(len(in.text)))
+		a.cacheStore(ctx, in.key, &e, int64(len(in.text)))
 	}
-	return parsed{dev: dev, diags: ds, dialect: dialect, dur: fileSpan.End(), err: err}
+	return parsed{cacheEntry: e, dur: fileSpan.End(), err: err}
 }
 
 // cacheLoad looks one file up in the parse cache. It can only improve
@@ -529,7 +496,7 @@ func (a *Analyzer) cacheLoad(ctx context.Context, key parsecache.Key) (p parsed,
 	if !isEntry { // a poisoned value degrades to a re-parse
 		return parsed{}, false
 	}
-	return parsed{dev: e.dev, diags: e.diags, dialect: e.dialect, cached: true}, true
+	return parsed{cacheEntry: *e, cached: true}, true
 }
 
 // cacheStore writes one successful parse into the cache; failures (or

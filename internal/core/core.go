@@ -41,10 +41,10 @@ const (
 	MetricProcesses      = "routinglens_processes"
 	MetricParallelism    = "routinglens_parallelism"
 
-	// Incremental parse-cache metrics (only emitted when a WithCache
-	// analyzer runs). Hits and misses are counted per analysis in the
-	// deterministic merge loop, not in the workers, so the counters are
-	// exact at any parallelism.
+	// Parse-reuse metrics: files an analysis took from the previous
+	// Result (or a WithCache cache) and files it parsed, counted in the
+	// deterministic merge loop, so exact at any parallelism. Evictions
+	// and entries come only from a WithCache analyzer.
 	MetricCacheHits      = "routinglens_parsecache_hits_total"
 	MetricCacheMisses    = "routinglens_parsecache_misses_total"
 	MetricCacheEvictions = "routinglens_parsecache_evictions_total"
@@ -76,11 +76,11 @@ func registerHelp(reg *telemetry.Registry) {
 	reg.SetHelp(MetricInstances, "Routing instances extracted, by network.")
 	reg.SetHelp(MetricProcesses, "Routing process graph nodes, by network.")
 	reg.SetHelp(MetricParallelism, "Worker-pool size of the last parse stage.")
-	reg.SetHelp(MetricCacheHits, "Per-file parse results served from the incremental parse cache.")
-	reg.SetHelp(MetricCacheMisses, "Files parsed fresh because the parse cache had no entry.")
+	reg.SetHelp(MetricCacheHits, "Files whose parse was taken from the previous analysis of the network instead of parsed.")
+	reg.SetHelp(MetricCacheMisses, "Files parsed because the previous analysis of the network had no parse of that content.")
 	reg.SetHelp(MetricCacheEvictions, "Parse-cache entries evicted by the LRU bounds.")
 	reg.SetHelp(MetricCacheEntries, "Parse-cache resident entries after the last analysis.")
-	reg.SetHelp(MetricFilesReparsed, "Files the most recent analysis parsed fresh (1 after a one-file edit with a warm cache).")
+	reg.SetHelp(MetricFilesReparsed, "Files the most recent analysis parsed fresh (1 after a one-file edit).")
 	reg.SetHelp(MetricSnapshotLoads, "Analyzed designs restored from a snapshot instead of full re-analysis, by net.")
 	reg.SetHelp(MetricSnapshotMisses, "Snapshot load attempts that found no snapshot or a stale content key, by net.")
 	reg.SetHelp(MetricSnapshotWrites, "Snapshot files written after a full analysis, by net.")

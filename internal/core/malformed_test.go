@@ -101,7 +101,7 @@ func TestSkippedFilesDeterministicAcrossParallelism(t *testing.T) {
 			reg := telemetry.NewRegistry()
 			ctx := telemetry.WithRegistry(context.Background(), reg)
 			an := NewAnalyzer(WithParallelism(j))
-			res, err := an.AnalyzeDirResult(ctx, "malformed", malformedDir)
+			res, err := an.AnalyzeDirResult(ctx, "malformed", malformedDir, nil)
 			if err != nil {
 				t.Fatalf("AnalyzeDirResult(j=%d): %v", j, err)
 			}

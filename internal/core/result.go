@@ -2,14 +2,24 @@ package core
 
 import (
 	"context"
+	"path/filepath"
 	"time"
+
+	"routinglens/internal/parsecache"
+	"routinglens/internal/snapshot"
+	"routinglens/internal/telemetry"
 )
 
 // Result bundles one complete analysis outcome: the design plus the parse
 // diagnostics and the skipped-file list already extracted from them. It
 // exists for callers that hold analyses and swap them atomically — the
 // serve daemon keeps its "last-good design" as a *Result — so the swap is
-// one pointer store instead of three coordinated fields.
+// one pointer store instead of three coordinated fields. It is also the
+// cache of the network's next analysis (AnalyzeDirResult's prev).
+//
+// A failed analysis returns a nil Result, except one that failed while
+// parsing (cancelled, or fail-fast): its Result holds only the sorted
+// diagnostics of the files that parsed, so a CLI can still report them.
 type Result struct {
 	Design      *Design
 	Diagnostics []Diagnostic
@@ -18,16 +28,19 @@ type Result struct {
 	Skipped []string
 	// Elapsed is the wall-clock analysis duration.
 	Elapsed time.Duration
-	// SnapshotKey is the content address of the input signature set —
-	// non-empty only for AnalyzeDirResult on an analyzer with a snapshot
-	// directory. Two results of the same network with equal keys are
-	// analyses of byte-identical content, which is what lets a server
-	// keep its warm generation on a no-change reload.
-	SnapshotKey string
+	// InputKey is the content address of the analyzed input: every file's
+	// dialect, name and normalized-content hash, under AnalysisVersion.
+	// Two results of one network with equal keys are analyses of
+	// byte-identical input.
+	InputKey string
 	// FromSnapshot reports whether the design was restored from the
 	// network's snapshot file rather than parsed from configuration
 	// text.
 	FromSnapshot bool
+	// parses maps each parsed file's key to its device (the one Design
+	// points at) and diagnostics. Files that failed to parse are absent,
+	// so they are re-diagnosed every time.
+	parses map[parsecache.Key]cacheEntry
 }
 
 // AnalyzeDirResult is AnalyzeDir packaged as a single swappable Result,
@@ -35,25 +48,84 @@ type Result struct {
 // one network from successive directories (a push's staging directory,
 // then its promoted generation) keeps one design name and one snapshot
 // file.
-func (a *Analyzer) AnalyzeDirResult(ctx context.Context, name, dir string) (*Result, error) {
+//
+// prev is the network's current Result, or nil. When the input key and
+// the name equal prev's, prev itself is returned before any snapshot
+// read, parse or stage; otherwise only the files absent from prev's parse
+// table are parsed. The snapshot is read only when prev is nil.
+func (a *Analyzer) AnalyzeDirResult(ctx context.Context, name, dir string, prev *Result) (*Result, error) {
 	start := time.Now()
-	d, diags, snapKey, fromSnap, err := a.analyzeDir(ctx, name, dir)
+	inputs, err := a.readDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Design: d, Diagnostics: diags, Skipped: SkippedFiles(diags), Elapsed: time.Since(start),
-		SnapshotKey: snapKey, FromSnapshot: fromSnap,
-	}, nil
+	key := snapshot.Key(AnalysisVersion, fileSigs(inputs))
+	if prev != nil && prev.InputKey == key && prev.Design.Network.Name == name {
+		telemetry.RegistryFrom(ctx).Gauge(MetricFilesReparsed).Set(0)
+		return prev, nil
+	}
+	var res *Result
+	if prev == nil && a.snapDir != "" {
+		res = a.snapshotLoad(ctx, name, key)
+	}
+	if res == nil {
+		if res, err = a.analyzeInputs(ctx, name, inputs, prev); err != nil {
+			return res, err
+		}
+		res.InputKey = key
+		if a.snapDir != "" {
+			a.snapshotStore(ctx, name, res, inputs)
+		}
+	}
+	res.Elapsed = time.Since(start)
+	return res, nil
 }
 
 // AnalyzeConfigsResult is AnalyzeConfigs packaged as a single swappable
 // Result.
 func (a *Analyzer) AnalyzeConfigsResult(ctx context.Context, name string, configs map[string]string) (*Result, error) {
 	start := time.Now()
-	d, diags, err := a.AnalyzeConfigs(ctx, name, configs)
-	if err != nil {
-		return nil, err
+	inputs := make([]fileInput, 0, len(configs))
+	for fn, text := range configs {
+		inputs = append(inputs, a.newInput(fn, text))
 	}
-	return &Result{Design: d, Diagnostics: diags, Skipped: SkippedFiles(diags), Elapsed: time.Since(start)}, nil
+	res, err := a.analyzeInputs(ctx, name, inputs, nil)
+	if err != nil {
+		return res, err
+	}
+	res.InputKey = snapshot.Key(AnalysisVersion, fileSigs(inputs))
+	res.Elapsed = time.Since(start)
+	return res, nil
+}
+
+// AnalyzeDir parses every regular file in dir as a router configuration
+// and extracts the network's routing design, naming the network after
+// the directory's base name. The returned diagnostics are warnings about
+// individual malformed lines; they do not prevent analysis.
+//
+// Every file is read and content-hashed on every call. With a snapshot
+// directory attached (WithSnapshotDir), an input key that matches the
+// network's snapshot skips the parse and restores the design from it.
+func (a *Analyzer) AnalyzeDir(ctx context.Context, dir string) (*Design, []Diagnostic, error) {
+	return unpack(a.AnalyzeDirResult(ctx, filepath.Base(filepath.Clean(dir)), dir, nil))
+}
+
+// AnalyzeConfigs parses an in-memory set of configurations (hostname or
+// file name -> text) and analyzes the network. Files are distributed
+// over the analyzer's worker pool; a "parse" span wraps the stage with
+// one "parse-worker" child per worker and one "parse-file" child per
+// configuration. Cancelling ctx stops the workers: no new file is picked
+// up and the call returns ctx's error alongside the (sorted) diagnostics
+// of the files that had already parsed, so interrupted runs can still
+// report partial findings.
+func (a *Analyzer) AnalyzeConfigs(ctx context.Context, name string, configs map[string]string) (*Design, []Diagnostic, error) {
+	return unpack(a.AnalyzeConfigsResult(ctx, name, configs))
+}
+
+// unpack splits a Result into AnalyzeDir's and AnalyzeConfigs' returns.
+func unpack(res *Result, err error) (*Design, []Diagnostic, error) {
+	if res == nil {
+		return nil, nil, err
+	}
+	return res.Design, res.Diagnostics, err
 }

@@ -29,12 +29,12 @@ const (
 )
 
 // snapshotLoad tries to restore netName's analysis from its snapshot
-// file. Absent or stale-key snapshots are misses; corrupt, truncated,
-// or version-skewed ones are counted invalid and refused. A restored
-// design is rebuilt by re-running the deterministic analysis stages
-// over the snapshotted device tree, and the parse cache is warmed so
-// subsequent reloads stay incremental.
-func (a *Analyzer) snapshotLoad(ctx context.Context, netName, key string) (design *Design, diags []Diagnostic, ok bool) {
+// file, returning nil when it cannot. Absent or stale-key snapshots are
+// misses; corrupt, truncated, or version-skewed ones are counted invalid
+// and refused. A restored design is rebuilt by re-running the
+// deterministic analysis stages over the snapshotted device tree, and its
+// Result gets the parse table a fresh parse would have built.
+func (a *Analyzer) snapshotLoad(ctx context.Context, netName, key string) (res *Result) {
 	reg := telemetry.RegistryFrom(ctx)
 	registerHelp(reg)
 	lnet := telemetry.L("net", netName)
@@ -45,29 +45,29 @@ func (a *Analyzer) snapshotLoad(ctx context.Context, netName, key string) (desig
 			reg.Counter(MetricSnapshotInvalid, lnet).Inc()
 			log.Warn("snapshot load panicked; falling back to full analysis",
 				"path", path, "panic", fmt.Sprint(r))
-			design, diags, ok = nil, nil, false
+			res = nil
 		}
 	}()
 	if err := a.faults.Fire(ctx, SiteSnapshotLoad); err != nil {
 		reg.Counter(MetricSnapshotInvalid, lnet).Inc()
 		log.Warn("snapshot load failed; falling back to full analysis", "path", path, "error", err)
-		return nil, nil, false
+		return nil
 	}
 	s, err := snapshot.Load(path)
 	if err != nil {
 		if os.IsNotExist(err) {
 			reg.Counter(MetricSnapshotMisses, lnet).Inc()
-			return nil, nil, false
+			return nil
 		}
 		reg.Counter(MetricSnapshotInvalid, lnet).Inc()
 		log.Warn("snapshot refused; falling back to full analysis", "path", path, "error", err)
-		return nil, nil, false
+		return nil
 	}
 	if s.AnalysisVersion != AnalysisVersion {
 		reg.Counter(MetricSnapshotInvalid, lnet).Inc()
 		log.Warn("snapshot analysis-version skew; falling back to full analysis",
 			"path", path, "snapshot_version", s.AnalysisVersion, "want", AnalysisVersion)
-		return nil, nil, false
+		return nil
 	}
 	if s.Key != key || s.NetworkName != netName {
 		// The configuration set changed since the snapshot was taken (or
@@ -75,24 +75,38 @@ func (a *Analyzer) snapshotLoad(ctx context.Context, netName, key string) (desig
 		// The caller re-analyzes and refreshes the snapshot.
 		reg.Counter(MetricSnapshotMisses, lnet).Inc()
 		log.Info("snapshot stale; re-analyzing", "path", path, "snapshot_key", s.Key, "want", key)
-		return nil, nil, false
+		return nil
 	}
 
-	n := &devmodel.Network{Name: netName, Devices: s.Devices}
-	design = a.Analyze(ctx, n)
-	diags = make([]Diagnostic, len(s.Diags))
+	diags := make([]Diagnostic, len(s.Diags))
+	byFile := make(map[string][]Diagnostic)
 	for i, d := range s.Diags {
 		diags[i] = Diagnostic{File: d.File, Line: d.Line, Severity: d.Severity, Dialect: d.Dialect, Msg: d.Msg}
+		byFile[d.File] = append(byFile[d.File], diags[i])
 	}
-	a.snapshotSeed(s, diags)
+	devByFile := make(map[string]*devmodel.Device, len(s.Devices))
+	for _, dev := range s.Devices {
+		devByFile[dev.FileName] = dev
+	}
+	parses := make(map[parsecache.Key]cacheEntry, len(s.Devices))
+	for _, f := range s.Files {
+		if dev := devByFile[f.Name]; dev != nil {
+			parses[parsecache.Key{Dialect: f.Dialect, Name: f.Name, Sum: f.Sum}] = cacheEntry{dev: dev, diags: byFile[f.Name], dialect: f.Dialect}
+		}
+	}
+	res = &Result{
+		Design:      a.Analyze(ctx, &devmodel.Network{Name: netName, Devices: s.Devices}),
+		Diagnostics: diags, Skipped: SkippedFiles(diags),
+		InputKey: key, FromSnapshot: true, parses: parses,
+	}
 	reg.Counter(MetricSnapshotLoads, lnet).Inc()
 	log.Info("design restored from snapshot", "path", path, "routers", len(s.Devices), "key", key)
-	return design, diags, true
+	return res
 }
 
-// snapshotStore writes the analysis as netName's refreshed snapshot;
-// failures (or injected faults) just skip the write.
-func (a *Analyzer) snapshotStore(ctx context.Context, netName, key string, design *Design, diags []Diagnostic, files []snapshot.FileSig) {
+// snapshotStore writes the analysis of inputs as netName's refreshed
+// snapshot; failures (or injected faults) just skip the write.
+func (a *Analyzer) snapshotStore(ctx context.Context, netName string, res *Result, inputs []fileInput) {
 	reg := telemetry.RegistryFrom(ctx)
 	registerHelp(reg)
 	log := a.log().With("network", netName)
@@ -105,17 +119,17 @@ func (a *Analyzer) snapshotStore(ctx context.Context, netName, key string, desig
 		log.Warn("snapshot store failed; snapshot not written", "error", err)
 		return
 	}
-	sd := make([]snapshot.Diag, len(diags))
-	for i, d := range diags {
+	sd := make([]snapshot.Diag, len(res.Diagnostics))
+	for i, d := range res.Diagnostics {
 		sd[i] = snapshot.Diag{File: d.File, Line: d.Line, Severity: d.Severity, Dialect: d.Dialect, Msg: d.Msg}
 	}
 	s := &snapshot.Snapshot{
 		AnalysisVersion: AnalysisVersion,
-		Key:             key,
+		Key:             res.InputKey,
 		NetworkName:     netName,
-		Devices:         design.Network.Devices,
+		Devices:         res.Design.Network.Devices,
 		Diags:           sd,
-		Files:           files,
+		Files:           fileSigs(inputs),
 	}
 	if err := os.MkdirAll(a.snapDir, 0o755); err != nil {
 		log.Warn("snapshot store failed; snapshot not written", "error", err)
@@ -127,34 +141,5 @@ func (a *Analyzer) snapshotStore(ctx context.Context, netName, key string, desig
 		return
 	}
 	reg.Counter(MetricSnapshotWrites, telemetry.L("net", netName)).Inc()
-	log.Info("snapshot written", "path", path, "routers", len(design.Network.Devices), "key", key)
-}
-
-// snapshotSeed warms the parse cache from a restored snapshot: each
-// snapshotted file with a device becomes a cache entry, so an
-// edited-one-file reload re-parses one file, not all of them. Files
-// without a device — the skipped, unparseable ones — are not cached,
-// matching a fresh parse: they are re-diagnosed every load.
-func (a *Analyzer) snapshotSeed(s *snapshot.Snapshot, diags []Diagnostic) {
-	if a.cache == nil {
-		return
-	}
-	devByFile := make(map[string]*devmodel.Device, len(s.Devices))
-	for _, dev := range s.Devices {
-		devByFile[dev.FileName] = dev
-	}
-	diagsByFile := make(map[string][]Diagnostic)
-	for _, d := range diags {
-		if d.File != "" {
-			diagsByFile[d.File] = append(diagsByFile[d.File], d)
-		}
-	}
-	for _, f := range s.Files {
-		dev := devByFile[f.Name]
-		if dev == nil {
-			continue
-		}
-		key := parsecache.Key{Dialect: f.Dialect, Name: f.Name, Sum: f.Sum}
-		a.cache.PutFrom(key, &cacheEntry{dev: dev, diags: diagsByFile[f.Name], dialect: f.Dialect}, f.Size, a.cacheOrigin)
-	}
+	log.Info("snapshot written", "path", path, "routers", len(res.Design.Network.Devices), "key", res.InputKey)
 }

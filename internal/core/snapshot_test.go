@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"routinglens/internal/faultinject"
-	"routinglens/internal/parsecache"
 	"routinglens/internal/snapshot"
 	"routinglens/internal/telemetry"
 )
@@ -60,15 +59,15 @@ func TestSnapshotColdStartRoundTrip(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	ctx := telemetry.WithRegistry(context.Background(), reg)
 	writer := NewAnalyzer(WithSnapshotDir(snapDir))
-	res, err := writer.AnalyzeDirResult(ctx, "netsnap", dir)
+	res, err := writer.AnalyzeDirResult(ctx, "netsnap", dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.FromSnapshot {
 		t.Errorf("first analysis claims FromSnapshot")
 	}
-	if res.SnapshotKey == "" {
-		t.Errorf("SnapshotKey empty with a snapshot dir attached")
+	if res.InputKey == "" {
+		t.Errorf("InputKey empty")
 	}
 	if got := netCounter(reg, MetricSnapshotWrites, "netsnap"); got != 1 {
 		t.Errorf("snapshot writes = %d, want 1", got)
@@ -82,16 +81,16 @@ func TestSnapshotColdStartRoundTrip(t *testing.T) {
 
 	reg = telemetry.NewRegistry()
 	ctx = telemetry.WithRegistry(context.Background(), reg)
-	reader := NewAnalyzer(WithSnapshotDir(snapDir), WithCache(parsecache.New(0, 0)))
-	res2, err := reader.AnalyzeDirResult(ctx, "netsnap", dir)
+	reader := NewAnalyzer(WithSnapshotDir(snapDir))
+	res2, err := reader.AnalyzeDirResult(ctx, "netsnap", dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res2.FromSnapshot {
 		t.Fatalf("fresh analyzer did not restore from snapshot")
 	}
-	if res2.SnapshotKey != res.SnapshotKey {
-		t.Errorf("snapshot key changed across identical loads")
+	if res2.InputKey != res.InputKey {
+		t.Errorf("input key changed across identical loads")
 	}
 	if got := netCounter(reg, MetricSnapshotLoads, "netsnap"); got != 1 {
 		t.Errorf("snapshot loads = %d, want 1", got)
@@ -106,16 +105,16 @@ func TestSnapshotColdStartRoundTrip(t *testing.T) {
 		t.Errorf("restored skipped list differs: %v", res2.Skipped)
 	}
 
-	// The restore must also warm the parse cache: a one-file edit
-	// re-parses exactly two files — the edited one plus the unparseable
-	// one, which is re-diagnosed every load because parse failures are
-	// never cached (same as a warm parse cache).
+	// The restored Result carries the parse table: a one-file edit
+	// analyzed given it re-parses exactly two files — the edited one plus
+	// the unparseable one, which is re-diagnosed every load because parse
+	// failures are never kept — and reads no snapshot.
 	if err := os.WriteFile(filepath.Join(dir, "jmix.cfg"), []byte(junosTestConfig+"\n/* touched */\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	reg = telemetry.NewRegistry()
 	ctx = telemetry.WithRegistry(context.Background(), reg)
-	res3, err := reader.AnalyzeDirResult(ctx, "netsnap", dir)
+	res3, err := reader.AnalyzeDirResult(ctx, "netsnap", dir, res2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,35 +122,58 @@ func TestSnapshotColdStartRoundTrip(t *testing.T) {
 		t.Errorf("edited load claims FromSnapshot")
 	}
 	if got := gauge(reg, MetricFilesReparsed); got != 2 {
-		t.Errorf("post-restore one-file edit reparsed %v files, want 2 (parse cache not seeded?)", got)
+		t.Errorf("post-restore one-file edit reparsed %v files, want 2 (restored Result has no parse table?)", got)
+	}
+	if got := netCounter(reg, MetricSnapshotMisses, "netsnap") + netCounter(reg, MetricSnapshotInvalid, "netsnap"); got != 0 {
+		t.Errorf("a reload given the previous Result read the snapshot (%d misses or refusals)", got)
+	}
+	if got := netCounter(reg, MetricSnapshotWrites, "netsnap"); got != 1 {
+		t.Errorf("snapshot writes = %d, want 1 (the edit refreshes it)", got)
 	}
 }
 
-// TestSnapshotUnchangedReloadRestores: a reload whose signature set is
-// unchanged restores from the snapshot the first load wrote, under the
-// same content key, and counts as a snapshot load.
+// TestSnapshotUnchangedReloadRestores: an unchanged directory analyzed
+// with no previous Result — a cold start — restores from the snapshot
+// the first load wrote, under the same input key, and counts as a
+// snapshot load. Given the previous Result it is that Result, and no
+// snapshot is read or written.
 func TestSnapshotUnchangedReloadRestores(t *testing.T) {
 	dir := writeNamedConfigDir(t, "netunchanged", mixedConfigs(t))
 	an := NewAnalyzer(WithSnapshotDir(t.TempDir()))
 
-	res1, err := an.AnalyzeDirResult(context.Background(), "netunchanged", dir)
+	res1, err := an.AnalyzeDirResult(context.Background(), "netunchanged", dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
 	ctx := telemetry.WithRegistry(context.Background(), reg)
-	res2, err := an.AnalyzeDirResult(ctx, "netunchanged", dir)
+	res2, err := an.AnalyzeDirResult(ctx, "netunchanged", dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res2.FromSnapshot {
-		t.Fatalf("unchanged reload was not restored from the snapshot")
+		t.Fatalf("cold start over an unchanged directory was not restored from the snapshot")
 	}
-	if res2.SnapshotKey != res1.SnapshotKey {
-		t.Errorf("snapshot key changed without an edit")
+	if res2.InputKey != res1.InputKey {
+		t.Errorf("input key changed without an edit")
 	}
 	if got := netCounter(reg, MetricSnapshotLoads, "netunchanged"); got != 1 {
 		t.Errorf("snapshot loads = %d, want 1", got)
+	}
+
+	reg = telemetry.NewRegistry()
+	ctx = telemetry.WithRegistry(context.Background(), reg)
+	res3, err := an.AnalyzeDirResult(ctx, "netunchanged", dir, res2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res3 != res2 {
+		t.Errorf("unchanged reload given the previous Result did not return it")
+	}
+	for _, m := range []string{MetricSnapshotLoads, MetricSnapshotMisses, MetricSnapshotInvalid, MetricSnapshotWrites} {
+		if got := netCounter(reg, m, "netunchanged"); got != 0 {
+			t.Errorf("%s = %d on an unchanged reload, want 0", m, got)
+		}
 	}
 }
 
@@ -164,9 +186,9 @@ func TestSnapshotInSlackEditInvalidates(t *testing.T) {
 	configs := mixedConfigs(t)
 	dir := writeNamedConfigDir(t, "netslack", configs)
 	snapDir := t.TempDir()
-	an := NewAnalyzer(WithSnapshotDir(snapDir), WithCache(parsecache.New(0, 0)))
+	an := NewAnalyzer(WithSnapshotDir(snapDir))
 
-	res1, err := an.AnalyzeDirResult(context.Background(), "netslack", dir)
+	res1, err := an.AnalyzeDirResult(context.Background(), "netslack", dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,27 +210,34 @@ func TestSnapshotInSlackEditInvalidates(t *testing.T) {
 
 	reg := telemetry.NewRegistry()
 	ctx := telemetry.WithRegistry(context.Background(), reg)
-	res2, err := an.AnalyzeDirResult(ctx, "netslack", dir)
+	res2, err := an.AnalyzeDirResult(ctx, "netslack", dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res2.FromSnapshot {
 		t.Fatalf("in-slack edit was masked by a snapshot restore")
 	}
-	if res2.SnapshotKey == res1.SnapshotKey {
-		t.Fatalf("in-slack edit did not change the snapshot key")
+	if res2.InputKey == res1.InputKey {
+		t.Fatalf("in-slack edit did not change the input key")
 	}
 	if got := netCounter(reg, MetricSnapshotMisses, "netslack"); got != 1 {
 		t.Errorf("snapshot misses = %d, want 1 (stale key)", got)
 	}
-	renamed := false
-	for _, dev := range res2.Design.Network.Devices {
-		if dev.Hostname == "jmax" {
-			renamed = true
-		}
+	// Given the previous Result, the edit is not masked either.
+	res3, err := an.AnalyzeDirResult(ctx, "netslack", dir, res1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !renamed {
-		t.Errorf("edited hostname jmax missing from the re-analyzed design")
+	for _, res := range []*Result{res2, res3} {
+		renamed := false
+		for _, dev := range res.Design.Network.Devices {
+			if dev.Hostname == "jmax" {
+				renamed = true
+			}
+		}
+		if !renamed {
+			t.Errorf("edited hostname jmax missing from the re-analyzed design")
+		}
 	}
 }
 
@@ -269,7 +298,7 @@ func TestSnapshotCorruptionFallsBack(t *testing.T) {
 	for _, tc := range corruptions {
 		t.Run(tc.name, func(t *testing.T) {
 			snapDir := t.TempDir()
-			if _, err := NewAnalyzer(WithSnapshotDir(snapDir)).AnalyzeDirResult(context.Background(), "netcorrupt", dir); err != nil {
+			if _, err := NewAnalyzer(WithSnapshotDir(snapDir)).AnalyzeDirResult(context.Background(), "netcorrupt", dir, nil); err != nil {
 				t.Fatal(err)
 			}
 			path := snapPath(snapDir, "netcorrupt")
@@ -277,7 +306,7 @@ func TestSnapshotCorruptionFallsBack(t *testing.T) {
 
 			reg := telemetry.NewRegistry()
 			ctx := telemetry.WithRegistry(context.Background(), reg)
-			res, err := NewAnalyzer(WithSnapshotDir(snapDir)).AnalyzeDirResult(ctx, "netcorrupt", dir)
+			res, err := NewAnalyzer(WithSnapshotDir(snapDir)).AnalyzeDirResult(ctx, "netcorrupt", dir, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -301,7 +330,7 @@ func TestSnapshotCorruptionFallsBack(t *testing.T) {
 			// restores from it.
 			reg = telemetry.NewRegistry()
 			ctx = telemetry.WithRegistry(context.Background(), reg)
-			res2, err := NewAnalyzer(WithSnapshotDir(snapDir)).AnalyzeDirResult(ctx, "netcorrupt", dir)
+			res2, err := NewAnalyzer(WithSnapshotDir(snapDir)).AnalyzeDirResult(ctx, "netcorrupt", dir, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -325,7 +354,7 @@ func TestSnapshotDeterministicAcrossParallelism(t *testing.T) {
 		dir := writeNamedConfigDir(t, "netdet", configs)
 		snapDir := t.TempDir()
 		an := NewAnalyzer(WithParallelism(j), WithSnapshotDir(snapDir))
-		if _, err := an.AnalyzeDirResult(context.Background(), "netdet", dir); err != nil {
+		if _, err := an.AnalyzeDirResult(context.Background(), "netdet", dir, nil); err != nil {
 			t.Fatalf("j=%d: %v", j, err)
 		}
 		data, err := os.ReadFile(snapPath(snapDir, "netdet"))
@@ -360,7 +389,7 @@ func TestSnapshotFaultsDegradeGracefully(t *testing.T) {
 			WithSnapshotDir(snapDir),
 			WithFaults(faultinject.New(1, faultinject.Rule{Site: SiteSnapshotStore, Kind: faultinject.KindError})),
 		)
-		res, err := an.AnalyzeDirResult(context.Background(), "netfault", dir)
+		res, err := an.AnalyzeDirResult(context.Background(), "netfault", dir, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -375,7 +404,7 @@ func TestSnapshotFaultsDegradeGracefully(t *testing.T) {
 	for _, kind := range []faultinject.Kind{faultinject.KindError, faultinject.KindPanic} {
 		t.Run("load-"+kind.String(), func(t *testing.T) {
 			snapDir := t.TempDir()
-			if _, err := NewAnalyzer(WithSnapshotDir(snapDir)).AnalyzeDirResult(context.Background(), "netfault", dir); err != nil {
+			if _, err := NewAnalyzer(WithSnapshotDir(snapDir)).AnalyzeDirResult(context.Background(), "netfault", dir, nil); err != nil {
 				t.Fatal(err)
 			}
 			reg := telemetry.NewRegistry()
@@ -384,7 +413,7 @@ func TestSnapshotFaultsDegradeGracefully(t *testing.T) {
 				WithSnapshotDir(snapDir),
 				WithFaults(faultinject.New(1, faultinject.Rule{Site: SiteSnapshotLoad, Kind: kind})),
 			)
-			res, err := an.AnalyzeDirResult(ctx, "netfault", dir)
+			res, err := an.AnalyzeDirResult(ctx, "netfault", dir, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -90,11 +90,13 @@ type Limits struct {
 	MaxFileBytes int64
 }
 
-// DefaultLimits is sized for config corpora: netgen's largest synthetic
-// network is ~15MB of text, real router configs are kilobytes each.
+// DefaultLimits is sized for config corpora, measured as text (du
+// --apparent-size): netgen's largest corpus network, net5, is 5.0 MB in
+// 881 files, and the 10k `netgen -provider` network has the most files,
+// 9,972, in 2.5 MB. Real router configs are kilobytes each.
 var DefaultLimits = Limits{
 	MaxBytes:     64 << 20,
-	MaxEntries:   8192,
+	MaxEntries:   16384,
 	MaxFileBytes: 8 << 20,
 }
 

@@ -6,6 +6,7 @@ import (
 	"compress/gzip"
 	"context"
 	"errors"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -132,6 +133,26 @@ func TestExtractTarGzLimits(t *testing.T) {
 	fat := tarGz(t, []tarEntry{{name: "a", body: "123456789"}})
 	if _, err := ExtractTarGz(bytes.NewReader(fat), t.TempDir(), lim); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("per-file limit: err = %v, want ErrTooLarge", err)
+	}
+}
+
+// TestDefaultLimitsEntries: the default entry bound admits a push of the
+// 10k provider network, whose 9,972 files are the most of any netgen
+// network, and refuses one entry past it.
+func TestDefaultLimitsEntries(t *testing.T) {
+	entries := func(n int) []byte {
+		es := make([]tarEntry, n)
+		for i := range es {
+			es[i] = tarEntry{name: fmt.Sprintf("r%d.cfg", i), body: fmt.Sprintf("hostname r%d\n", i)}
+		}
+		return tarGz(t, es)
+	}
+	res, err := ExtractTarGz(bytes.NewReader(entries(9972)), t.TempDir(), Limits{})
+	if err != nil || res.Files != 9972 {
+		t.Errorf("9,972 entries: extracted %d files, err = %v; want all of them", res.Files, err)
+	}
+	if _, err := ExtractTarGz(bytes.NewReader(entries(DefaultLimits.MaxEntries+1)), t.TempDir(), Limits{}); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("%d entries: err = %v, want ErrTooLarge", DefaultLimits.MaxEntries+1, err)
 	}
 }
 

@@ -3,6 +3,10 @@
 // configuration file's identity to its pure parse result, so that
 // re-analyzing a network after a one-file edit re-parses only that file.
 //
+// Analyses now reuse the previous core.Result instead, keyed by KeyFor.
+// The LRU stays only for the benchmark's layer replay (perfbench/layers);
+// make tier1 fails if anything else calls New.
+//
 // The key is (dialect, file name, SHA-256 of the confio-normalized
 // content):
 //

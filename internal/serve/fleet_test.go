@@ -15,13 +15,12 @@ import (
 
 	"routinglens/internal/core"
 	"routinglens/internal/faultinject"
-	"routinglens/internal/parsecache"
 	"routinglens/internal/telemetry"
 )
 
 // newFleetServer builds a Server hosting three networks over the example
-// corpus (same configs, three independent generation chains) with a
-// shared parse cache; mutate tweaks the Config before New.
+// corpus (same configs, three independent generation chains); mutate
+// tweaks the Config before New.
 func newFleetServer(t *testing.T, mutate func(*Config)) *Server {
 	t.Helper()
 	s := newTestServer(t, func(c *Config) {
@@ -30,7 +29,6 @@ func newFleetServer(t *testing.T, mutate func(*Config)) *Server {
 			{Name: "beta", Dir: exampleDir},
 			{Name: "gamma", Dir: exampleDir},
 		}
-		c.ParseCache = parsecache.New(parsecache.DefaultMaxEntries, 0)
 		if mutate != nil {
 			mutate(c)
 		}
@@ -235,41 +233,15 @@ func TestFleetReloadIsolationStress(t *testing.T) {
 	}
 }
 
-// TestCrossNetParseCacheHits: three networks analyzing the same
-// configuration files through one shared parse cache means the second
-// and third networks replay parses the first one paid for — the
-// cross-network hit counter, the /v1/nets listing, and the gauge all
-// agree the sharing happened.
-func TestCrossNetParseCacheHits(t *testing.T) {
-	var reg *telemetry.Registry
-	s := newFleetServer(t, func(c *Config) { reg = c.Registry })
-	mustReloadAll(t, s)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	code, m, _ := get(t, ts.URL+"/v1/nets")
-	if code != http.StatusOK {
-		t.Fatalf("/v1/nets: got %d", code)
-	}
-	pc, ok := m["parse_cache"].(map[string]any)
-	if !ok {
-		t.Fatalf("/v1/nets: missing parse_cache in %v", m)
-	}
-	if hits := pc["cross_net_hits"].(float64); hits <= 0 {
-		t.Errorf("cross_net_hits = %v, want > 0 (beta and gamma share every file with alpha)", hits)
-	}
-	if g := reg.Gauge(MetricCrossNetHits).Value(); g <= 0 {
-		t.Errorf("%s = %v, want > 0", MetricCrossNetHits, g)
-	}
-}
-
 // TestEventsCursorsScopedPerNet: each network's event ring counts its
 // own history — reloading alpha advances alpha's cursors only, and each
 // events page names the network it belongs to.
 func TestEventsCursorsScopedPerNet(t *testing.T) {
-	s := newFleetServer(t, nil)
+	alphaDir := copyExample(t)
+	s := newFleetServer(t, func(c *Config) { c.Nets[0].Dir = alphaDir })
 	mustReloadAll(t, s)
 	for i := 0; i < 2; i++ {
+		appendComment(t, alphaDir)
 		if err := s.Net("alpha").Reload(context.Background()); err != nil {
 			t.Fatalf("alpha reload %d: %v", i, err)
 		}
@@ -374,7 +346,7 @@ func TestReloadWorkerPoolBounds(t *testing.T) {
 			}
 			time.Sleep(30 * time.Millisecond)
 			inFlight.Add(-1)
-			return an.AnalyzeDirResult(ctx, name, exampleDir)
+			return an.AnalyzeDirResult(ctx, name, exampleDir, nil)
 		}
 	}
 	s := newTestServer(t, func(c *Config) {

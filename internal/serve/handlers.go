@@ -173,25 +173,15 @@ type netInfo struct {
 	Quarantined  bool   `json:"quarantined,omitempty"`
 }
 
-// parseCacheInfo summarizes the shared parse cache on /v1/nets;
-// CrossNetHits is the fleet's proof that networks share parses.
-type parseCacheInfo struct {
-	Entries      int   `json:"entries"`
-	Hits         int64 `json:"hits"`
-	Misses       int64 `json:"misses"`
-	CrossNetHits int64 `json:"cross_net_hits"`
-}
-
 // netsResponse is the /v1/nets discovery body.
 type netsResponse struct {
-	Count      int             `json:"count"`
-	Nets       []netInfo       `json:"nets"`
-	ParseCache *parseCacheInfo `json:"parse_cache,omitempty"`
+	Count int       `json:"count"`
+	Nets  []netInfo `json:"nets"`
 }
 
 // handleNets lists the fleet: every served network with its generation,
-// readiness, and reload facts, plus the shared parse-cache counters.
-// This is the discovery endpoint a consumer starts from.
+// readiness, and reload facts. This is the discovery endpoint a consumer
+// starts from.
 func (s *Server) handleNets(w http.ResponseWriter, r *http.Request) {
 	resp := netsResponse{
 		Count: len(s.netNames),
@@ -215,15 +205,6 @@ func (s *Server) handleNets(w http.ResponseWriter, r *http.Request) {
 		}
 		info.Quarantined = nw.quarantine.Load() != nil
 		resp.Nets = append(resp.Nets, info)
-	}
-	if s.pc != nil {
-		st := s.pc.Stats()
-		resp.ParseCache = &parseCacheInfo{
-			Entries:      st.Entries,
-			Hits:         st.Hits,
-			Misses:       st.Misses,
-			CrossNetHits: st.CrossHits,
-		}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

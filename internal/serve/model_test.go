@@ -107,7 +107,8 @@ func ospfRouter(name, addr string) string {
 
 // reloadModel is the reference for one directory-backed network behind
 // the default admission gate (ReloadRetries 0, so every trigger is one
-// attempt; a snapshot directory, so identical input ends unchanged).
+// attempt). Identical input ends unchanged, with or without a snapshot
+// directory.
 type reloadModel struct {
 	src configSet // the source directory
 	// store reports whether a push has created the generation store.
@@ -203,13 +204,15 @@ func (m *reloadModel) apply(result string, cand configSet, push bool) {
 }
 
 // modelHarness drives one rlensd network and its model side by side.
+// label names the server's configuration in failure messages.
 type modelHarness struct {
-	t    *testing.T
-	s    *Server
-	nw   *Network
-	dir  string
-	base configSet
-	m    *reloadModel
+	t     *testing.T
+	label string
+	s     *Server
+	nw    *Network
+	dir   string
+	base  configSet
+	m     *reloadModel
 }
 
 // do serves one request in-process.
@@ -230,7 +233,7 @@ func (h *modelHarness) step(i int, st modelStep) {
 		h.s.faults = faultinject.New(1, *st.fault)
 	}
 	armed := func(site string) bool { return st.fault != nil && st.fault.Site == site }
-	what := fmt.Sprintf("step %d (op %d, variant %d, fault %+v)", i, st.op, st.variant, st.fault)
+	what := fmt.Sprintf("%s: step %d (op %d, variant %d, fault %+v)", h.label, i, st.op, st.variant, st.fault)
 	outcomesBefore := countEvents(h.nw, EvtSwap, EvtDesignRejected, EvtReloadFailed)
 	wantOutcomes := 0
 	switch st.op {
@@ -444,7 +447,8 @@ func (h *modelHarness) check(what string) {
 // counter and the event totals; contiguous published seqs; no staging
 // directory left behind; reloads analyzing the generation store's
 // current directory; and the last-good generation answering every
-// endpoint at the model's seq.
+// endpoint at the model's seq. Every input runs twice, without and with
+// a snapshot directory, which must not change any outcome.
 //
 // Wired into `make fuzzsmoke`; saved crashers land in testdata/fuzz/ and
 // replay under plain `go test` forever.
@@ -461,18 +465,23 @@ func FuzzReloadModel(f *testing.F) {
 	}
 	base := configSet(dirFiles(f, exampleDir))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, dir := newIngestServer(t, func(c *Config) {
-			c.SnapshotDir = t.TempDir()
-			c.ReloadRetries = 0
-		})
-		h := &modelHarness{t: t, s: s, nw: s.Net("push"), dir: dir, base: base, m: &reloadModel{
-			src:     base,
-			reloads: map[string]int64{},
-			pushes:  map[string]int64{},
-			events:  map[events.Type]int{},
-		}}
-		for i, st := range decodeModelSteps(data) {
-			h.step(i, st)
+		for _, snapshots := range []bool{false, true} {
+			s, dir := newIngestServer(t, func(c *Config) {
+				if snapshots {
+					c.SnapshotDir = t.TempDir()
+				}
+				c.ReloadRetries = 0
+			})
+			h := &modelHarness{t: t, label: fmt.Sprintf("snapshots %v", snapshots), s: s, nw: s.Net("push"),
+				dir: dir, base: base, m: &reloadModel{
+					src:     base,
+					reloads: map[string]int64{},
+					pushes:  map[string]int64{},
+					events:  map[events.Type]int{},
+				}}
+			for i, st := range decodeModelSteps(data) {
+				h.step(i, st)
+			}
 		}
 	})
 }

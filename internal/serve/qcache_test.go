@@ -74,9 +74,10 @@ func TestQueryCacheHitReplaysResponse(t *testing.T) {
 
 // TestQueryCacheInvalidatedOnReload: after a generation swap the same
 // query recomputes against the new design — a cached response from the
-// previous generation is never replayed.
+// previous generation is never replayed. A reload of unchanged input
+// swaps nothing, so its cache keeps answering.
 func TestQueryCacheInvalidatedOnReload(t *testing.T) {
-	s := newTestServer(t, nil)
+	s, edit := newEditableServer(t, nil)
 	mustReload(t, s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -95,6 +96,14 @@ func TestQueryCacheInvalidatedOnReload(t *testing.T) {
 		t.Fatalf("warm-up: X-Cache=%q seq=%v, want hit/1", h.Get("X-Cache"), seqOf(body))
 	}
 
+	// An unchanged reload keeps the generation and its cache.
+	mustReload(t, s)
+	_, body, h = rawGet(t, ts.URL+"/v1/nets/example/summary")
+	if h.Get("X-Cache") != "hit" || seqOf(body) != 1 {
+		t.Fatalf("after an unchanged reload: X-Cache=%q seq=%v, want hit/1", h.Get("X-Cache"), seqOf(body))
+	}
+
+	edit()
 	mustReload(t, s)
 	_, body, h = rawGet(t, ts.URL+"/v1/nets/example/summary")
 	if h.Get("X-Cache") == "hit" {
@@ -140,7 +149,7 @@ func TestQueryCacheDisabled(t *testing.T) {
 // the swap leaked a previous generation's response forward.
 func TestConcurrentQueriesAcrossSwapWithQueryCache(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	s := newTestServer(t, func(c *Config) { c.Registry = reg })
+	s, edit := newEditableServer(t, func(c *Config) { c.Registry = reg })
 	mustReload(t, s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -199,6 +208,7 @@ func TestConcurrentQueriesAcrossSwapWithQueryCache(t *testing.T) {
 		}(g)
 	}
 	for i := 0; i < 5; i++ {
+		edit()
 		mustReload(t, s)
 	}
 	close(stop)

@@ -64,7 +64,7 @@ func TestQueryPathGolden(t *testing.T) {
 	// golden counts only what serving does (analysis counts depend on
 	// the host's core count).
 	res, err := core.NewAnalyzer().AnalyzeDirResult(
-		telemetry.WithRegistry(context.Background(), telemetry.NewRegistry()), "example", exampleDir)
+		telemetry.WithRegistry(context.Background(), telemetry.NewRegistry()), "example", exampleDir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

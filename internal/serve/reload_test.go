@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -14,6 +15,7 @@ import (
 
 	"routinglens/internal/core"
 	"routinglens/internal/faultinject"
+	"routinglens/internal/ingest"
 	"routinglens/internal/telemetry"
 )
 
@@ -60,7 +62,7 @@ func TestBackoffDoesNotStarveFleet(t *testing.T) {
 	healthy := func(name string) func(context.Context) (*core.Result, error) {
 		an := core.NewAnalyzer()
 		return func(ctx context.Context) (*core.Result, error) {
-			return an.AnalyzeDirResult(ctx, name, exampleDir)
+			return an.AnalyzeDirResult(ctx, name, exampleDir, nil)
 		}
 	}
 	s := newTestServer(t, func(c *Config) {
@@ -98,6 +100,89 @@ func TestBackoffDoesNotStarveFleet(t *testing.T) {
 	}
 }
 
+// TestUnchangedInputKeepsGeneration: with no snapshot directory, input
+// byte-identical to what a network serves keeps the serving generation
+// whatever brings it: a manual reload, the config watcher after every
+// file was touched but not changed, and a push of the same files. Each
+// answers "unchanged" at the serving seq, publishes no generation.swap,
+// and leaves the query cache answering.
+func TestUnchangedInputKeepsGeneration(t *testing.T) {
+	s, dir := newIngestServer(t, func(c *Config) { c.WatchInterval = 5 * time.Millisecond })
+	mustReload(t, s)
+	nw := s.Net("push")
+	served := nw.State()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	rawGet(t, ts.URL+"/v1/nets/push/summary")
+	kept := func(what string) {
+		t.Helper()
+		if nw.State() != served {
+			t.Fatalf("%s: the serving generation was replaced (seq %d)", what, nw.State().Seq)
+		}
+		if n := countEvents(nw, EvtSwap); n != 1 {
+			t.Errorf("%s: %d generation.swap events, want only the first load's", what, n)
+		}
+		if _, _, h := rawGet(t, ts.URL+"/v1/nets/push/summary"); h.Get("X-Cache") != "hit" {
+			t.Errorf("%s: the query cache lost its answer", what)
+		}
+	}
+	unchanged := func(what string, code int, body map[string]any) {
+		t.Helper()
+		if code != http.StatusOK || body["result"] != "unchanged" || body["seq"] != float64(1) {
+			t.Errorf("%s: got %d %v, want 200 unchanged at seq 1", what, code, body)
+		}
+		kept(what)
+	}
+	kept("first load")
+
+	resp, err := http.Post(ts.URL+"/v1/nets/push/reload", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body map[string]any
+	json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	unchanged("manual reload", resp.StatusCode, body)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer func() {
+		cancel()
+		s.watchWG.Wait()
+	}()
+	s.StartWatchers(ctx)
+	polls := s.reg.Counter(ingest.MetricPolls, lnet("push"), telemetry.L("result", "unchanged"))
+	deadline := time.Now().Add(5 * time.Second)
+	for polls.Value() < 1 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	later := time.Now().Add(time.Hour)
+	for name := range dirFiles(t, dir) {
+		if err := os.Chtimes(filepath.Join(dir, name), later, later); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reloads := s.reg.Counter(MetricReloads, lnet("push"), telemetry.L("result", "unchanged"))
+	for reloads.Value() < 2 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if reloads.Value() < 2 {
+		t.Fatal("the watcher never reloaded the touched files")
+	}
+	kept("watcher reload")
+
+	resp, err = http.Post(ts.URL+"/v1/nets/push/configs", "application/gzip", bytes.NewReader(archiveOf(t, dirFiles(t, dir))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body = nil
+	json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	unchanged("identical push", resp.StatusCode, body)
+	if got := s.reg.Counter(MetricReloads, lnet("push"), telemetry.L("result", "ok")).Value(); got != 1 {
+		t.Errorf("reloads_total{result=ok} = %d, want 1 (the first load)", got)
+	}
+}
+
 // TestReloadAnswersItsOwnOutcome: a reload that queues behind another
 // answers what it did itself. The first reload, of an edited config, is
 // held at the analyzer while a second one queues; the second finds the
@@ -105,7 +190,6 @@ func TestBackoffDoesNotStarveFleet(t *testing.T) {
 // say so — "unchanged" at the seq it kept — as its counter does.
 func TestReloadAnswersItsOwnOutcome(t *testing.T) {
 	s, dir := newIngestServer(t, func(c *Config) {
-		c.SnapshotDir = t.TempDir()
 		// Visit 1 is the initial load; visit 2, the first reload, is held.
 		c.Faults = faultinject.New(1, faultinject.Rule{
 			Site: SiteAnalyze, Kind: faultinject.KindDelay, Delay: 400 * time.Millisecond, After: 1, Count: 1,

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"routinglens/internal/core"
 	"routinglens/internal/netgen"
 	"routinglens/internal/simroute"
 )
@@ -109,30 +110,34 @@ func answerBody(t *testing.T, u string) map[string]any {
 }
 
 // TestSupersededGenerationIsCollected pins that a reload keeps nothing
-// of the generation it replaced: each reload's simulation reuses the
-// serving one's, but once three more generations have been published,
-// the first one's simulation must be garbage.
+// of the generation it replaced: each reload's analysis and simulation
+// reuse the serving one's, but once three more generations have been
+// published, the first one's analysis result and simulation must be
+// garbage.
 func TestSupersededGenerationIsCollected(t *testing.T) {
-	s := newTestServer(t, nil)
-	collected := make(chan struct{})
+	s, edit := newEditableServer(t, nil)
+	collected := make(chan struct{}, 2)
 	func() {
 		mustReload(t, s)
-		runtime.SetFinalizer(soleNet(t, s).State().Reach.Sim, func(*simroute.Sim) { close(collected) })
+		st := soleNet(t, s).State()
+		runtime.SetFinalizer(st.Res, func(*core.Result) { collected <- struct{}{} })
+		runtime.SetFinalizer(st.Reach.Sim, func(*simroute.Sim) { collected <- struct{}{} })
 	}()
 	for i := 0; i < 3; i++ {
+		edit()
 		mustReload(t, s)
 	}
 	if seq := soleNet(t, s).State().Seq; seq != 4 {
 		t.Fatalf("serving seq %d after four loads, want 4", seq)
 	}
 	deadline := time.After(10 * time.Second)
-	for {
+	for n := 0; n < 2; {
 		runtime.GC()
 		select {
 		case <-collected:
-			return
+			n++
 		case <-deadline:
-			t.Fatal("generation 1's simulation is still reachable after three reloads")
+			t.Fatal("generation 1's analysis result or simulation is still reachable after three reloads")
 		case <-time.After(10 * time.Millisecond):
 		}
 	}

@@ -55,7 +55,6 @@ import (
 	"routinglens/internal/faultinject"
 	"routinglens/internal/ingest"
 	"routinglens/internal/netaddr"
-	"routinglens/internal/parsecache"
 	"routinglens/internal/reach"
 	"routinglens/internal/simroute"
 	"routinglens/internal/telemetry"
@@ -89,9 +88,6 @@ const (
 	MetricNetReady = "routinglens_net_ready"
 	// MetricNetLatency is per-network request latency, by net and endpoint.
 	MetricNetLatency = "routinglens_net_request_seconds"
-	// MetricCrossNetHits mirrors the shared parse cache's cross-network
-	// hit count: parses paid for by one network and reused by another.
-	MetricCrossNetHits = "routinglens_parsecache_cross_net_hits"
 	// MetricPrefixesSimulated is how many prefixes the simulation of a
 	// network's most recently published generation moved, by net: all of
 	// them on a first load, and after an edit only the prefixes whose
@@ -130,16 +126,11 @@ type Config struct {
 	Nets []NetSource
 	// AnalyzerOptions configure each per-network analyzer.
 	AnalyzerOptions []core.AnalyzerOption
-	// ParseCache, when non-nil, is shared by every per-network analyzer
-	// with per-network origin tracking, so identical boilerplate files
-	// across networks are parsed once (routinglens_parsecache_cross_net_hits
-	// counts the sharing).
-	ParseCache *parsecache.Cache
 	// SnapshotDir, when non-empty, holds one analyzed-design snapshot
-	// per network (`<net>.rlsnap`): cold starts restore from it in
-	// milliseconds instead of re-analyzing, reloads whose signature set
-	// is unchanged keep the warm generation, and every full analysis
-	// refreshes it.
+	// per network (`<net>.rlsnap`): a network's first load restores from
+	// it in milliseconds instead of re-analyzing, and every reload that
+	// parses refreshes it. Reloads never read it: they reuse the serving
+	// generation.
 	SnapshotDir string
 	// ReloadWorkers bounds concurrently running analysis attempts across
 	// the fleet (default 2): SIGHUP or startup against a large corpus
@@ -313,7 +304,6 @@ type Server struct {
 
 	nets     map[string]*Network
 	netNames []string // sorted
-	pc       *parsecache.Cache
 	// reloadSem bounds concurrently running analysis attempts across
 	// the whole fleet (capacity ReloadWorkers). An attempt holds a slot
 	// only while it analyzes, never across a retry backoff.
@@ -372,7 +362,6 @@ func New(cfg Config) (*Server, error) {
 		reg:       cfg.Registry,
 		log:       cfg.Logger,
 		faults:    cfg.Faults,
-		pc:        cfg.ParseCache,
 		nets:      make(map[string]*Network),
 		reloadSem: make(chan struct{}, cfg.ReloadWorkers),
 	}
@@ -438,8 +427,7 @@ func validNetName(name string) bool {
 	return !strings.ContainsAny(name, "/\\?#%\"' \t\n")
 }
 
-// addNet registers one network, building its analyzer against the
-// shared parse cache with the network's name as cache origin.
+// addNet registers one network and builds its analyzer.
 func (s *Server) addNet(src NetSource) error {
 	if !validNetName(src.Name) {
 		return fmt.Errorf("serve: network name %q is not usable as a path segment", src.Name)
@@ -448,9 +436,6 @@ func (s *Server) addNet(src NetSource) error {
 		return fmt.Errorf("serve: duplicate network name %q", src.Name)
 	}
 	opts := append([]core.AnalyzerOption{}, s.cfg.AnalyzerOptions...)
-	if s.pc != nil {
-		opts = append(opts, core.WithCache(s.pc), core.WithCacheOrigin(src.Name))
-	}
 	if s.cfg.SnapshotDir != "" {
 		opts = append(opts, core.WithSnapshotDir(s.cfg.SnapshotDir))
 	}
@@ -502,7 +487,6 @@ func registerHelp(reg *telemetry.Registry) {
 	reg.SetHelp(MetricInFlight, "Queries currently holding a concurrency slot, by net.")
 	reg.SetHelp(MetricNetReady, "Per-network readiness: 1 serving fresh, 0 empty or degraded.")
 	reg.SetHelp(MetricNetLatency, "Request latency, by net and endpoint.")
-	reg.SetHelp(MetricCrossNetHits, "Shared parse-cache hits where the parse was paid for by a different network.")
 	reg.SetHelp(MetricPrefixesSimulated, "Prefixes simulated for the most recently published generation; the rest were copied from the one it replaced, by net.")
 	reg.SetHelp(MetricQueryCacheHits, "Query responses served from the per-generation cache, by endpoint.")
 	reg.SetHelp(MetricQueryCacheMisses, "Queries computed because the per-generation cache had no entry, by endpoint.")
@@ -535,8 +519,8 @@ func (nw *Network) activeDirPath() string {
 // load runs one analysis attempt against dir under a slot of the
 // fleet-wide reload semaphore and through the fault-injection boundary.
 // The slot is held only for the analysis itself, never across retry
-// backoff sleeps.
-func (nw *Network) load(ctx context.Context, dir string) (*core.Result, error) {
+// backoff sleeps. prev is the serving generation's Result, or nil.
+func (nw *Network) load(ctx context.Context, dir string, prev *core.Result) (*core.Result, error) {
 	s := nw.s
 	select {
 	case s.reloadSem <- struct{}{}:
@@ -559,7 +543,7 @@ func (nw *Network) load(ctx context.Context, dir string) (*core.Result, error) {
 	if nw.loadFn != nil {
 		return nw.loadFn(ctx)
 	}
-	return nw.an.AnalyzeDirResult(ctx, nw.name, dir)
+	return nw.an.AnalyzeDirResult(ctx, nw.name, dir, prev)
 }
 
 // reloadReq parameterizes one reload: what drove it, whether to bypass
@@ -664,16 +648,19 @@ retry:
 
 // attempt turns the reload's input into a candidate generation or an
 // error, invisibly to queries: it analyzes the input (a push's staging
-// directory, else the active directory), keeps prev when the input is
-// unchanged, diffs against prev, runs the admission gate, builds reach
-// and what-if, and last promotes a push's staging directory, so nothing
-// can fail after a promotion. The reach build reuses prev's simulation:
-// it copies the fixpoint of every prefix whose origination the edit left
-// alone and simulates only the rest, reading prev while queries do and
-// keeping no reference into it. It is the reload's one panic boundary: a
-// panic anywhere in it (a fault hook, a parser or stage — core re-raises
-// its workers' panics here — the diff, admission, reach, what-if or the
-// promotion) is the attempt's error and takes the retry path.
+// directory, else the active directory) given prev's analysis, keeps prev
+// when the analyzer hands that analysis back, diffs against prev, runs
+// the admission gate, builds reach and what-if, and last promotes a
+// push's staging directory, so nothing can fail after a promotion. Both
+// builds reuse prev: the analysis takes every file parse the edit left
+// alone, and the reach build copies the fixpoint of every prefix whose
+// origination the edit left alone and simulates only the rest. They read
+// prev while queries do, and the candidate keeps no reference to prev
+// (parsed devices, which never change, are shared). It is the reload's
+// one panic boundary: a panic anywhere in it (a fault hook, a parser or
+// stage — core re-raises its workers' panics here — the diff, admission,
+// reach, what-if or the promotion) is the attempt's error and takes the
+// retry path.
 func (nw *Network) attempt(ctx context.Context, req reloadReq, prev *State) (c candidate, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -685,16 +672,19 @@ func (nw *Network) attempt(ctx context.Context, req reloadReq, prev *State) (c c
 	if req.push != nil {
 		dir = req.push.staging
 	}
-	res, err := nw.load(ctx, dir)
+	var prevRes *core.Result
+	if prev != nil {
+		prevRes = prev.Res
+	}
+	res, err := nw.load(ctx, dir, prevRes)
 	if err != nil {
 		return c, err
 	}
-	if prev != nil && res.SnapshotKey != "" && prev.Res.SnapshotKey == res.SnapshotKey {
-		// The signature set is unchanged: equal content keys mean the
-		// new analysis is of byte-identical input, so the serving
-		// generation — with its warm analyses and query cache — already
-		// answers it. Keep it; swapping would only rebuild reach and
-		// what-if and purge the cache to arrive at the same answers.
+	if prev != nil && res == prev.Res {
+		// The input is byte-identical, so the serving generation — with
+		// its warm analyses and query cache — already answers it. Keep it;
+		// swapping would only rebuild reach and what-if and purge the
+		// cache to arrive at the same answers.
 		return candidate{st: prev}, nil
 	}
 	if prev != nil {
@@ -743,9 +733,6 @@ func (nw *Network) commit(req reloadReq, prev *State, c candidate, err error, el
 	lnet := telemetry.L("net", nw.name)
 	if req.push != nil && c.gen == "" {
 		req.push.store.Discard(req.push.staging)
-	}
-	if s.pc != nil {
-		s.reg.Gauge(MetricCrossNetHits).Set(float64(s.pc.Stats().CrossHits))
 	}
 	var adm *AdmissionError
 	if errors.As(err, &adm) {

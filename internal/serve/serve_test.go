@@ -78,6 +78,49 @@ func get(t *testing.T, url string) (int, map[string]any, http.Header) {
 	return resp.StatusCode, m, resp.Header
 }
 
+// newEditableServer is newTestServer over a private copy of the example
+// corpus, still served as "example". edit appends a comment line to one
+// of its files, so the next reload analyzes changed input and publishes a
+// new generation: a reload of unchanged input keeps the serving one.
+func newEditableServer(t *testing.T, mutate func(*Config)) (s *Server, edit func()) {
+	t.Helper()
+	dir := copyExample(t)
+	s = newTestServer(t, func(c *Config) {
+		c.Nets = []NetSource{{Name: "example", Dir: dir}}
+		if mutate != nil {
+			mutate(c)
+		}
+	})
+	return s, func() { appendComment(t, dir) }
+}
+
+// appendComment appends a comment line to r1's configuration in dir.
+func appendComment(t *testing.T, dir string) {
+	t.Helper()
+	f, err := os.OpenFile(filepath.Join(dir, "r1.cfg"), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString("!\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// freshEachLoad serves the example corpus as "example" through a Load
+// hook that analyzes it with no previous Result, so every reload
+// publishes a new generation although the files never change: the churn
+// the tests of concurrent reloads need, where edits between reloads
+// would race.
+func freshEachLoad(c *Config) {
+	an := core.NewAnalyzer()
+	c.Nets = []NetSource{{Name: "example", Load: func(ctx context.Context) (*core.Result, error) {
+		return an.AnalyzeDirResult(ctx, "example", exampleDir, nil)
+	}}}
+}
+
 func mustReload(t *testing.T, s *Server) {
 	t.Helper()
 	if err := soleNet(t, s).Reload(context.Background()); err != nil {
@@ -260,7 +303,7 @@ func TestPanicRecovered(t *testing.T) {
 // naming the error) but every query endpoint keeps serving the last-good
 // design; a later successful reload clears the degradation.
 func TestReloadFailureKeepsLastGood(t *testing.T) {
-	s := newTestServer(t, func(c *Config) {
+	s, edit := newEditableServer(t, func(c *Config) {
 		// First load succeeds; the next two analyzer visits (reload
 		// attempt + its one retry) fail; everything after succeeds.
 		c.Faults = faultinject.New(1, faultinject.Rule{
@@ -304,7 +347,9 @@ func TestReloadFailureKeepsLastGood(t *testing.T) {
 		t.Errorf("summary while degraded: seq = %v, want last-good 1", got)
 	}
 
-	// Recovery: the fault window is exhausted, so this reload lands.
+	// Recovery: the fault window is exhausted, so this reload of an
+	// edited config lands.
+	edit()
 	resp, err = http.Post(ts.URL+"/v1/nets/example/reload", "", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -331,7 +376,7 @@ func TestReloadFailureKeepsLastGood(t *testing.T) {
 // design that panics in the design diff or in the reach build.
 func TestPanickingReloadKeepsLastGood(t *testing.T) {
 	good, err := core.NewAnalyzer().AnalyzeDirResult(
-		telemetry.WithRegistry(context.Background(), telemetry.NewRegistry()), "example", exampleDir)
+		telemetry.WithRegistry(context.Background(), telemetry.NewRegistry()), "example", exampleDir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -559,8 +604,9 @@ func TestRunDrainsOnSIGTERM(t *testing.T) {
 // TestSIGHUPReloads: the hangup signal triggers a background reload that
 // bumps the served generation.
 func TestSIGHUPReloads(t *testing.T) {
-	s := newTestServer(t, nil)
+	s, edit := newEditableServer(t, nil)
 	mustReload(t, s)
+	edit()
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -592,7 +638,7 @@ func TestSIGHUPReloads(t *testing.T) {
 // Each response must be coherent — one generation end to end — which the
 // race detector plus the seq consistency check enforce.
 func TestConcurrentQueriesDuringReload(t *testing.T) {
-	s := newTestServer(t, nil)
+	s, edit := newEditableServer(t, nil)
 	mustReload(t, s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -636,6 +682,7 @@ func TestConcurrentQueriesDuringReload(t *testing.T) {
 		}(g)
 	}
 	for i := 0; i < 5; i++ {
+		edit()
 		mustReload(t, s)
 	}
 	close(stop)

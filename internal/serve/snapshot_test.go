@@ -146,6 +146,14 @@ func TestSnapshotColdStartAndUnchangedReload(t *testing.T) {
 	if got := netCounterVal(s2, core.MetricSnapshotWrites, "snapnet"); got != 1 {
 		t.Errorf("writes after edited reload = %d, want 1 (refresh)", got)
 	}
+	// Only the cold start read the snapshot; neither reload did.
+	for metric, want := range map[string]int64{
+		core.MetricSnapshotLoads: 1, core.MetricSnapshotMisses: 0, core.MetricSnapshotInvalid: 0,
+	} {
+		if got := netCounterVal(s2, metric, "snapnet"); got != want {
+			t.Errorf("%s = %d after two reloads, want the cold start's %d", metric, got, want)
+		}
+	}
 }
 
 // TestSnapshotColdStartWarmsReach: a generation restored from a snapshot,

@@ -371,7 +371,7 @@ func TestWatchSubscriberDisconnect(t *testing.T) {
 // a total order and swap events observe strictly increasing generation
 // seqs while reloads race.
 func TestEventsOrderingUnderConcurrentReloads(t *testing.T) {
-	s := newTestServer(t, nil)
+	s := newTestServer(t, freshEachLoad)
 	mustReload(t, s)
 	nw := s.Net("example")
 	var wg sync.WaitGroup
@@ -419,7 +419,7 @@ func TestEventsOrderingUnderConcurrentReloads(t *testing.T) {
 // with -race -count=3): multiple live watchers each see a
 // cursor-ordered stream while reloads and queries race underneath.
 func TestWatchDuringConcurrentReloads(t *testing.T) {
-	s := newTestServer(t, nil)
+	s := newTestServer(t, freshEachLoad)
 	mustReload(t, s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -103,7 +103,7 @@ type Snapshot struct {
 // (dialect, name, sum) in name order. Size is deliberately excluded —
 // the normalized-content hash already pins the bytes, and two files
 // whose raw sizes differ only by normalization-stripped noise should
-// share a key exactly like they share a parse-cache entry.
+// share a key exactly like they share a file key (parsecache.KeyFor).
 func Key(analysisVersion string, files []FileSig) string {
 	sorted := make([]FileSig, len(files))
 	copy(sorted, files)

@@ -41,6 +41,9 @@ const (
 	HopBlackhole
 	// HopLoop means the path revisited a device.
 	HopLoop
+	// HopTruncated means the path exceeded 64 hops (maxHops) without
+	// revisiting a device; the trace stops there.
+	HopTruncated
 )
 
 // String names the hop kind.
@@ -56,6 +59,8 @@ func (k HopKind) String() string {
 		return "blackhole"
 	case HopLoop:
 		return "loop"
+	case HopTruncated:
+		return "truncated"
 	}
 	return "?"
 }
@@ -109,7 +114,8 @@ func New(sim *simroute.Sim) *Tracer {
 	return &Tracer{sim: sim, g: sim.Graph}
 }
 
-// maxHops bounds path reconstruction; real networks rarely exceed 30.
+// maxHops bounds path reconstruction; real networks rarely exceed 30. A
+// longer path ends in a HopTruncated hop.
 const maxHops = 64
 
 // Trace reconstructs the path from the named source router toward the
@@ -156,7 +162,7 @@ func (t *Tracer) Trace(srcHostname string, dest netaddr.Addr) (*Path, error) {
 			cur = next
 		}
 	}
-	path.Hops = append(path.Hops, Hop{Device: cur, Kind: HopLoop})
+	path.Hops = append(path.Hops, Hop{Device: cur, Kind: HopTruncated})
 	return path, nil
 }
 

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -35,7 +36,9 @@ func parseNet(t *testing.T, cfgs ...string) *devmodel.Network {
 	return n
 }
 
-// Linear chain a-b-c: a trace from a to c's LAN walks the chain.
+// Linear chain a-b-c: a trace from a to c's LAN walks the chain. Built
+// 70 routers long, the chain is longer than maxHops: the trace ends
+// truncated after 64 forward hops, on a router it never revisited.
 func TestChainTrace(t *testing.T) {
 	n := parseNet(t,
 		`hostname a
@@ -76,6 +79,36 @@ router ospf 1
 	got := strings.Join(hosts, ">")
 	if got != "a>b>c" {
 		t.Errorf("path = %s, want a>b>c\n%s", got, p)
+	}
+
+	const routers = 70
+	cfgs := make([]string, routers)
+	for i := range cfgs {
+		var b strings.Builder
+		fmt.Fprintf(&b, "hostname r%d\n", i)
+		if i > 0 {
+			fmt.Fprintf(&b, "interface Serial0\n ip address 10.0.%d.2 255.255.255.252\n", i-1)
+		}
+		if i < routers-1 {
+			fmt.Fprintf(&b, "interface Serial1\n ip address 10.0.%d.1 255.255.255.252\n", i)
+		} else {
+			b.WriteString("interface Ethernet0\n ip address 10.50.0.1 255.255.255.0\n")
+		}
+		b.WriteString("router ospf 1\n network 10.0.0.0 0.0.255.255 area 0\n redistribute connected subnets\n")
+		cfgs[i] = b.String()
+	}
+	p, err = tracerFor(t, parseNet(t, cfgs...), nil).Trace("r0", netaddr.MustParseAddr("10.50.0.99"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Hops) != maxHops+1 || p.Outcome() != HopTruncated || p.Hops[maxHops].Device.Hostname != "r64" {
+		t.Fatalf("70-router chain: %d hops ending %v, want %d forward hops then truncated at r64\n%s",
+			len(p.Hops), p.Outcome(), maxHops, p)
+	}
+	for i, h := range p.Hops[:maxHops] {
+		if h.Kind != HopForward || h.Device.Hostname != fmt.Sprintf("r%d", i) {
+			t.Fatalf("70-router chain: hop %d is %s %v, want r%d forward\n%s", i+1, h.Device.Hostname, h.Kind, i, p)
+		}
 	}
 }
 
@@ -202,7 +235,7 @@ func TestHopKindStrings(t *testing.T) {
 	want := map[HopKind]string{
 		HopForward: "forward", HopDelivered: "delivered",
 		HopExternal: "external", HopBlackhole: "blackhole", HopLoop: "loop",
-		HopKind(99): "?",
+		HopTruncated: "truncated", HopKind(99): "?",
 	}
 	for k, s := range want {
 		if k.String() != s {
