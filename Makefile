@@ -15,21 +15,25 @@
 # repeats vet and adds the race detector over every package — that
 # includes the worker pools in core/experiments, the telemetry layer
 # they share, instance.Model's edge indexes under concurrent readers,
-# and the serve daemon's swap/shed/drain paths (with extra iteration-count
-# runs of the concurrent-queries-during-reload stresses, query cache on
-# and off, plus the fleet isolation stress proving a failing or slow
-# reload of one network never blocks another, and the ingest convergence
-# stress racing the config watcher against pushes, manual reloads and
-# rollbacks) — and a short fuzz pass over every ingestion fuzz target
+# the simulator's prefix shards (TestShardedRunMatchesWhole over the
+# whole corpus, then three more times under -short: the small networks
+# and net5), and the serve daemon's swap/shed/drain paths (with extra
+# iteration-count runs of the concurrent-queries-during-reload stresses,
+# query cache on and off, plus the fleet isolation stress proving a
+# failing or slow reload of one network never blocks another, and the
+# ingest convergence stress racing the config watcher against pushes,
+# manual reloads and rollbacks) — and a short fuzz pass over every ingestion fuzz target
 # including the tar.gz push extractor, plus the reload-model check that
 # drives random reload, push, rollback, edit and watcher sequences with
 # injected faults against a reference model of one network
 # (fuzzsmoke); benchsmoke runs the instrumented pipeline benches and the
 # simulator benches once so stage-instrumentation overhead and the
-# simulator's time and allocations stay visible in CI output (among them
-# BenchmarkSimrouteNet5, net5's cold simulation, and
-# BenchmarkSimrouteNet5Edit, the same after a one-line edit, reusing the
-# unedited generation's fixpoint), plus the
+# simulator's time and allocations stay visible in CI output. Two of them
+# run at -cpu 1,2, so every log shows the one-core and the sharded time
+# side by side: BenchmarkSimrouteNet5, net5's cold simulation, whose
+# prefixes Run shards across GOMAXPROCS, and BenchmarkSimrouteNet5Edit,
+# the same after a one-line edit, reusing the unedited generation's
+# fixpoint and moving one prefix inline. benchsmoke also runs the
 # in-process query-stack bench (a cached hit and a miss per fleet
 # endpoint) so every CI log prints the hit path's allocations. The
 # operator-facing benchmark is not a make target: `bash perfbench/run.sh`
@@ -61,6 +65,7 @@ tier2: fuzzsmoke
 	go test -race -count=3 -run '^TestFleetReloadIsolationStress$$' ./internal/serve
 	go test -race -count=3 -run '^TestSnapshotLoadDuringReloadStress$$' ./internal/serve
 	go test -race -count=3 -run '^TestIngestConvergenceStress$$' ./internal/serve
+	go test -race -short -count=3 -run '^TestShardedRunMatchesWhole$$' ./internal/simroute
 	go test -race -run '^TestParseCacheConcurrent$$' ./internal/parsecache
 	go test -race -count=3 -run '^TestQuotientDeterministic$$' ./internal/compress
 
@@ -82,5 +87,6 @@ fuzzsmoke:
 	go test -run '^$$' -fuzz '^FuzzReloadModel$$' -fuzztime $(FUZZTIME) ./internal/serve
 
 benchsmoke:
-	go test -run '^$$' -bench 'BenchmarkAnalyze|BenchmarkSimroute' -benchtime=1x .
+	go test -run '^$$' -bench 'BenchmarkAnalyze|BenchmarkSimrouteNet15' -benchtime=1x .
+	go test -run '^$$' -bench '^BenchmarkSimrouteNet5(Edit)?$$' -benchtime=1x -cpu 1,2 .
 	go test -run '^$$' -bench 'BenchmarkQueryStack' -benchtime=1x ./internal/serve

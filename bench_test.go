@@ -197,9 +197,13 @@ func BenchmarkSimrouteNet15(b *testing.B) {
 	}
 }
 
-// BenchmarkSimrouteNet5 measures what an rlensd reload of the 881-router
-// network pays in the simulator: the fixpoint with a default route
-// injected at all 18 peers, then the two network-wide reach views.
+// BenchmarkSimrouteNet5 measures what an rlensd cold start of the
+// 881-router network pays in the simulator: the fixpoint with a default
+// route injected at all 18 peers, then the two network-wide reach views.
+// A snapshot restart and a reload whose edit changes a flow policy pay
+// the same; a one-file edit pays BenchmarkSimrouteNet5Edit's. With
+// nothing to reuse, Run shards the prefixes across GOMAXPROCS, so
+// -cpu 1,2 prints the one-core and the sharded time.
 func BenchmarkSimrouteNet5(b *testing.B) {
 	na := workspace(b).ByName("net5")
 	space := addrspace.Discover(addrspace.CollectSubnets(na.Net), addrspace.Options{})

@@ -25,10 +25,13 @@
 // stage-timing summary; -log-format json switches logs to JSON;
 // -metrics FILE exports run metrics (-metrics-format prom|json); and
 // -pprof ADDR serves net/http/pprof for the duration of the run.
-// -j N bounds the parse/analysis worker pool (0, the default, uses
-// GOMAXPROCS); the output is byte-identical whatever N. -timeout D puts
-// a deadline on the whole run; on expiry — or on Ctrl-C — the analysis
-// cancels cleanly and reports the diagnostics gathered so far.
+// -j N bounds the parse and analysis-stage worker pools (0, the default,
+// uses GOMAXPROCS). The route simulator behind -trace shards by
+// GOMAXPROCS instead, so GOMAXPROCS=1 runs everything on one core; the
+// output is byte-identical either way.
+// -timeout D puts a deadline on the whole run; on expiry — or on Ctrl-C —
+// the analysis cancels cleanly and reports the diagnostics gathered so
+// far.
 //
 // A file that fails to parse entirely is skipped by default: it surfaces
 // as a severity-error diagnostic, a "skipped N unparseable file(s)" line

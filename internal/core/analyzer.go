@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -18,6 +17,7 @@ import (
 	"routinglens/internal/classify"
 	"routinglens/internal/devmodel"
 	"routinglens/internal/diag"
+	"routinglens/internal/fanout"
 	"routinglens/internal/faultinject"
 	"routinglens/internal/filters"
 	"routinglens/internal/instance"
@@ -355,7 +355,7 @@ func (a *Analyzer) analyzeInputs(ctx context.Context, name string, inputs []file
 		for w := range pool {
 			pool[w] = worker
 		}
-		goAll(pool...)
+		fanout.GoAll(pool...)
 	}
 	if err := ctx.Err(); err != nil {
 		parseSpan.Fail(err)
@@ -434,7 +434,7 @@ func (a *Analyzer) analyzeInputs(ctx context.Context, name string, inputs []file
 		"files", len(inputs), "lines", totalLines, "workers", workers,
 		"cache_hits", cacheHits, "reparsed", reparsed,
 		"diagnostics", len(diags), "duration", parseDur.Round(time.Microsecond))
-	return &Result{Design: a.Analyze(ctx, n), Diagnostics: diags, Skipped: SkippedFiles(diags), parses: parses}, nil
+	return &Result{Design: a.Analyze(ctx, n), Diagnostics: diags, Skipped: SkippedFiles(diags), FilesParsed: reparsed, parses: parses}, nil
 }
 
 // partialDiags salvages the diagnostics of whatever files finished
@@ -552,7 +552,7 @@ func (a *Analyzer) Analyze(ctx context.Context, n *devmodel.Network) *Design {
 	}
 
 	if a.Parallelism() > 1 {
-		goAll(procChain, addrStage, filterStage)
+		fanout.GoAll(procChain, addrStage, filterStage)
 	} else {
 		procChain()
 		addrStage()
@@ -567,32 +567,4 @@ func (a *Analyzer) Analyze(ctx context.Context, n *devmodel.Network) *Design {
 		"instances", len(d.Instances.Instances),
 		"classification", d.Classification.String())
 	return d
-}
-
-// goAll runs every f on a goroutine of its own and waits for all of
-// them. A panic in one is re-raised on the caller's goroutine once all
-// have returned, so the caller's recover — a serving daemon's reload
-// attempt — sees a worker's panic as its own instead of the process
-// dying.
-func goAll(fs ...func()) {
-	var wg sync.WaitGroup
-	panics := make(chan any, len(fs))
-	for _, f := range fs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					panics <- p
-				}
-			}()
-			f()
-		}()
-	}
-	wg.Wait()
-	select {
-	case p := <-panics:
-		panic(p)
-	default:
-	}
 }

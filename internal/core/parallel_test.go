@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"routinglens/internal/diag"
@@ -297,24 +296,4 @@ func TestAnalyzeStageParallelRace(t *testing.T) {
 			t.Fatal("incomplete design from parallel stages")
 		}
 	}
-}
-
-// TestGoAllReraisesWorkerPanic: the parse workers and parallel stages
-// run on goroutines of their own, where no caller's recover reaches. A
-// worker's panic must come back on the caller's goroutine, after every
-// worker has returned, so a serving daemon's reload attempt can turn it
-// into an error instead of dying.
-func TestGoAllReraisesWorkerPanic(t *testing.T) {
-	var ran atomic.Int32
-	defer func() {
-		if p := recover(); p != "boom" {
-			t.Fatalf("recovered %v, want the worker's panic", p)
-		}
-		if n := ran.Load(); n != 3 {
-			t.Errorf("%d of 3 workers ran before the re-raise", n)
-		}
-	}()
-	work := func() { ran.Add(1) }
-	goAll(work, func() { ran.Add(1); panic("boom") }, work)
-	t.Fatal("goAll returned normally after a worker panicked")
 }

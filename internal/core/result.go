@@ -37,6 +37,12 @@ type Result struct {
 	// network's snapshot file rather than parsed from configuration
 	// text.
 	FromSnapshot bool
+	// FilesParsed is how many files this analysis parsed instead of
+	// taking them from the previous Result: every file on a cold start,
+	// 1 after a one-file edit, 0 for a snapshot restore. Unlike the
+	// process-wide MetricFilesReparsed gauge, which every network's
+	// analysis overwrites, it belongs to this network's analysis.
+	FilesParsed int
 	// parses maps each parsed file's key to its device (the one Design
 	// points at) and diagnostics. Files that failed to parse are absent,
 	// so they are re-diagnosed every time.

@@ -59,7 +59,8 @@ func TestUnchangedInputReturnsPrev(t *testing.T) {
 // analyzer with no parse cache, given the previous Result, parses only
 // the file an edit changed. That holds on net5 and on a provider network
 // larger than rlensd's old 4,096-entry parse cache, and the design,
-// devices and diagnostics equal a fresh analysis's.
+// devices and diagnostics equal a fresh analysis's. Each Result counts
+// its own parses: every file cold (881 on net5), 1 after the edit.
 func TestPrevResultParsesOnlyEditedFile(t *testing.T) {
 	for _, g := range []*netgen.Generated{netgen.GenerateCorpus(2004).ByName("net5"), netgen.GenerateProvider(2004, 4500)} {
 		t.Run(g.Name, func(t *testing.T) {
@@ -74,6 +75,9 @@ func TestPrevResultParsesOnlyEditedFile(t *testing.T) {
 				hosts = append(hosts, h)
 			}
 			sort.Strings(hosts)
+			if prev.FilesParsed != len(hosts) {
+				t.Errorf("a cold analysis parsed %d of %d files", prev.FilesParsed, len(hosts))
+			}
 			edited := hosts[len(hosts)/2]
 			text := g.Configs[edited] + "ip route 198.18.0.1 255.255.255.255 Null0\n"
 			if err := os.WriteFile(filepath.Join(dir, edited+".cfg"), []byte(text), 0o644); err != nil {
@@ -85,8 +89,8 @@ func TestPrevResultParsesOnlyEditedFile(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := gauge(reg, MetricFilesReparsed); got != 1 {
-				t.Errorf("a one-file edit reparsed %v of %d files, want 1", got, len(hosts))
+			if got := gauge(reg, MetricFilesReparsed); got != 1 || res.FilesParsed != 1 {
+				t.Errorf("a one-file edit reparsed %v (Result: %d) of %d files, want 1", got, res.FilesParsed, len(hosts))
 			}
 			if got := reg.Counter(MetricCacheHits).Value(); got != int64(len(hosts)-1) {
 				t.Errorf("a one-file edit took %d parses from the previous Result, want %d", got, len(hosts)-1)

@@ -89,6 +89,9 @@ func TestSnapshotColdStartRoundTrip(t *testing.T) {
 	if !res2.FromSnapshot {
 		t.Fatalf("fresh analyzer did not restore from snapshot")
 	}
+	if res2.FilesParsed != 0 {
+		t.Errorf("a snapshot restore counts %d files parsed, want 0", res2.FilesParsed)
+	}
 	if res2.InputKey != res.InputKey {
 		t.Errorf("input key changed across identical loads")
 	}

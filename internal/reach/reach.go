@@ -33,6 +33,10 @@ type Analysis struct {
 	// moved: all of them unless it reused an earlier analysis.
 	// AnalyzeReduced, handed a simulation that already ran, leaves it 0.
 	Simulated int
+	// Rounds is how many propagation rounds Analyze's run took. A run
+	// that reused an earlier analysis counts only the rounds of the
+	// prefixes it moved. AnalyzeReduced leaves it 0.
+	Rounds int
 
 	def bool
 	ext []netaddr.Prefix
@@ -51,9 +55,9 @@ func Analyze(m *instance.Model, space *addrspace.Structure, external []simroute.
 		prevSim = prev.Sim
 	}
 	simulated := sim.Reuse(prevSim)
-	sim.Run()
+	rounds := sim.Run()
 	a := AnalyzeReduced(m, sim, space)
-	a.Simulated = simulated
+	a.Simulated, a.Rounds = simulated, rounds
 	return a
 }
 

@@ -170,3 +170,19 @@ func TestBlockReachesBlockHostRoute(t *testing.T) {
 		t.Error("host route within admitted space should be reachable")
 	}
 }
+
+// TestAnalyzeKeepsRounds: Analyze keeps the simulation's round count. A
+// cold analysis takes as many rounds as a bare run of the simulator; one
+// that reuses an unchanged analysis moves nothing and stops after the
+// one round that finds nothing to move.
+func TestAnalyzeKeepsRounds(t *testing.T) {
+	a := net15Analysis(t, 3)
+	bare := simroute.New(a.Model.Graph, net15.ExternalRoutes())
+	if want := bare.Run(); a.Rounds != want || want < 2 {
+		t.Errorf("cold Analyze kept %d rounds, the simulator took %d", a.Rounds, want)
+	}
+	again := Analyze(a.Model, a.Space, net15.ExternalRoutes(), a)
+	if again.Simulated != 0 || again.Rounds != 1 {
+		t.Errorf("reusing an unchanged analysis simulated %d prefixes in %d rounds, want 0 in 1", again.Simulated, again.Rounds)
+	}
+}

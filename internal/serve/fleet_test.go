@@ -1,12 +1,16 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,6 +19,7 @@ import (
 
 	"routinglens/internal/core"
 	"routinglens/internal/faultinject"
+	"routinglens/internal/netgen"
 	"routinglens/internal/telemetry"
 )
 
@@ -396,5 +401,61 @@ func TestFleetConfigValidation(t *testing.T) {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("%s: New accepted an unusable config", tc.name)
 		}
+	}
+}
+
+// TestDesignLoadedLogsOwnCounts: networks of different sizes that load
+// together under ReloadAll each log their own analysis on "design
+// loaded". files_reparsed is the files that network parsed, not the
+// process-wide gauge the other network's analysis may have set last,
+// and sim_rounds is its own simulation's round count, as its
+// routinglens_reload_sim_rounds series reads.
+func TestDesignLoadedLogsOwnCounts(t *testing.T) {
+	g := netgen.GenerateCorpus(2004).ByName("net26")
+	dir := filepath.Join(t.TempDir(), "net26")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for h, text := range g.Configs {
+		writeConfig(t, dir, h, text)
+	}
+	var logs bytes.Buffer // the handler serializes its writes
+	s := newTestServer(t, func(c *Config) {
+		c.Nets = []NetSource{{Name: "example", Dir: exampleDir}, {Name: "net26", Dir: dir}}
+		c.Logger = slog.New(slog.NewJSONHandler(&logs, nil))
+	})
+	mustReloadAll(t, s)
+
+	want := map[string]int{"example": 6, "net26": len(g.Configs)}
+	seen := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(logs.String()), "\n") {
+		var rec struct {
+			Msg       string  `json:"msg"`
+			Net       string  `json:"net"`
+			Reparsed  int     `json:"files_reparsed"`
+			Simulated int     `json:"prefixes_simulated"`
+			Prefixes  int     `json:"prefixes"`
+			Rounds    float64 `json:"sim_rounds"`
+		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("log line %q: %v", line, err)
+		}
+		if rec.Msg != "design loaded" {
+			continue
+		}
+		seen[rec.Net] = true
+		if rec.Reparsed != want[rec.Net] {
+			t.Errorf("%s: design loaded with files_reparsed=%d, want its own %d files", rec.Net, rec.Reparsed, want[rec.Net])
+		}
+		if rec.Simulated != rec.Prefixes {
+			t.Errorf("%s: a first load simulated %d of %d prefixes", rec.Net, rec.Simulated, rec.Prefixes)
+		}
+		gauge := s.reg.Gauge(MetricSimRounds, lnet(rec.Net)).Value()
+		if rec.Rounds < 2 || rec.Rounds != gauge {
+			t.Errorf("%s: design loaded with sim_rounds=%v, gauge %v; want the run's own count, at least 2", rec.Net, rec.Rounds, gauge)
+		}
+	}
+	if len(seen) != len(want) {
+		t.Errorf("design loaded logged for %v, want both networks", seen)
 	}
 }

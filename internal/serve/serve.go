@@ -93,6 +93,11 @@ const (
 	// them on a first load, and after an edit only the prefixes whose
 	// origination changed, unless the edit changed how routes flow.
 	MetricPrefixesSimulated = "routinglens_reload_prefixes_simulated"
+	// MetricSimRounds is how many propagation rounds the simulation of a
+	// network's most recently published generation took, by net. A run
+	// that reused the replaced generation's fixpoint counts only the
+	// rounds of the prefixes it moved.
+	MetricSimRounds = "routinglens_reload_sim_rounds"
 )
 
 // Fault-injection sites the daemon exposes. Handler sites are
@@ -375,6 +380,10 @@ func New(cfg Config) (*Server, error) {
 	s.traces = telemetry.NewTraceStore(cfg.TraceStoreSize)
 	s.build = telemetry.RegisterBuildInfo(s.reg)
 	registerHelp(s.reg)
+	// Every analysis sets core's process-wide files-reparsed gauge in
+	// this registry; list it before the first one does. Each network's
+	// own count is its Result's FilesParsed.
+	s.reg.Gauge(core.MetricFilesReparsed)
 
 	srcs, err := cfg.netSources()
 	if err != nil {
@@ -488,6 +497,7 @@ func registerHelp(reg *telemetry.Registry) {
 	reg.SetHelp(MetricNetReady, "Per-network readiness: 1 serving fresh, 0 empty or degraded.")
 	reg.SetHelp(MetricNetLatency, "Request latency, by net and endpoint.")
 	reg.SetHelp(MetricPrefixesSimulated, "Prefixes simulated for the most recently published generation; the rest were copied from the one it replaced, by net.")
+	reg.SetHelp(MetricSimRounds, "Simulator propagation rounds for the most recently published generation; a reusing run counts only the rounds of the prefixes it moved, by net.")
 	reg.SetHelp(MetricQueryCacheHits, "Query responses served from the per-generation cache, by endpoint.")
 	reg.SetHelp(MetricQueryCacheMisses, "Queries computed because the per-generation cache had no entry, by endpoint.")
 	reg.SetHelp(MetricQueryCacheEvictions, "Query-cache entries evicted by the LRU bound.")
@@ -791,6 +801,7 @@ func (nw *Network) commit(req reloadReq, prev *State, c candidate, err error, el
 	s.reg.Counter(MetricReloads, lnet, telemetry.L("result", "ok")).Inc()
 	s.reg.Gauge(MetricDesignSeq, lnet).Set(float64(st.Seq))
 	s.reg.Gauge(MetricPrefixesSimulated, lnet).Set(float64(st.Reach.Simulated))
+	s.reg.Gauge(MetricSimRounds, lnet).Set(float64(st.Reach.Rounds))
 	if c.gen != "" {
 		nw.emit(EvtConfigPushed, configPushedPayload{
 			Generation: filepath.Base(c.gen), Files: req.push.files, Bytes: req.push.bytes,
@@ -809,8 +820,9 @@ func (nw *Network) commit(req reloadReq, prev *State, c candidate, err error, el
 		"routers", len(res.Design.Network.Devices),
 		"instances", len(res.Design.Instances.Instances),
 		"skipped_files", len(res.Skipped),
-		"files_reparsed", int64(s.reg.Gauge(core.MetricFilesReparsed).Value()),
+		"files_reparsed", res.FilesParsed,
 		"prefixes_simulated", st.Reach.Simulated,
+		"sim_rounds", st.Reach.Rounds,
 		"prefixes", st.Reach.Sim.Prefixes(),
 		"reach_whatif", c.analyses.Round(time.Millisecond),
 		"elapsed", res.Elapsed.Round(time.Millisecond))

@@ -23,20 +23,24 @@
 // administrative distance from the device's local and process RIBs when
 // asked, and build Route and Selected values only for what they return.
 //
-// Reuse. The fixpoint factorizes by prefix, so when two simulations move
-// routes over the same flows, Reuse copies an earlier one's fixpoint for
-// every prefix whose origination is unchanged, and Run then moves only
-// the rest.
+// Reuse and shards. The fixpoint factorizes by prefix, so when two
+// simulations move routes over the same flows, Reuse copies an earlier
+// one's fixpoint for every prefix whose origination is unchanged, and Run
+// then moves only the rest. For the same reason Run splits the prefixes
+// it moves into contiguous ranges and moves each on its own goroutine.
 package simroute
 
 import (
 	"cmp"
 	"fmt"
+	"maps"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
 
 	"routinglens/internal/devmodel"
+	"routinglens/internal/fanout"
 	"routinglens/internal/netaddr"
 	"routinglens/internal/procgraph"
 )
@@ -133,7 +137,9 @@ type labelKey struct {
 }
 
 // interner assigns attribute IDs and memoizes the set operations the
-// fixpoint performs on them. Only New and Run write it.
+// fixpoint performs on them. New, Reuse and Run write the Sim's; each of
+// Run's shards past the first writes a fork, whose new IDs Run folds
+// back in. Queries only read it.
 type interner struct {
 	sets   []attrs // by attrID; sets[0] is the absent route
 	index  map[string]attrID
@@ -150,6 +156,18 @@ func newInterner() *interner {
 		index:  make(map[string]attrID),
 		unions: make(map[[2]attrID]attrID),
 		added:  make(map[labelKey]attrID),
+	}
+}
+
+// fork returns a copy of the interner that shares its label sets but
+// none of its tables, so the two can intern on separate goroutines.
+func (in *interner) fork() *interner {
+	return &interner{
+		sets:   slices.Clip(in.sets),
+		index:  maps.Clone(in.index),
+		unions: maps.Clone(in.unions),
+		added:  maps.Clone(in.added),
+		recent: in.recent,
 	}
 }
 
@@ -232,16 +250,16 @@ type localRoute struct {
 	attr attrID
 }
 
-// rib is a monotone route set keyed by prefix ID. Every insertion or
-// attribute change appends the prefix ID to log, so the fixpoint loop's
-// edges process deltas instead of rescanning the whole RIB. The log is
-// Run's worklist only: Run frees it when it returns.
+// rib is a monotone route set keyed by prefix ID. Origination in New
+// appends each prefix it sets to log, which Reuse trims to the prefixes
+// it did not copy: the worklist Run starts from. Run hands it to its
+// shards, whose own logs carry the later changes, and frees it.
 type rib struct {
 	slots []slot       // flow targets: indexed by prefix ID
 	local []localRoute // local RIBs: sorted by prefix ID
 	log   []int32
 	// ext lists the prefix IDs whose route carries an external origin,
-	// in the order they gained one.
+	// unordered: New's and Reuse's, then each shard's in shard order.
 	ext []int32
 }
 
@@ -262,7 +280,8 @@ func (rb *rib) find(pid int32) (int, bool) {
 	return slices.BinarySearchFunc(rb.local, pid, func(r localRoute, pid int32) int { return cmp.Compare(r.pid, pid) })
 }
 
-// set records a new attribute for the prefix's route and logs the change.
+// set records an originated attribute for the prefix's route and logs
+// the change.
 func (rb *rib) set(in *interner, pid int32, old, a attrID) {
 	if rb.slots != nil {
 		rb.slots[pid].attr = a
@@ -551,10 +570,10 @@ func (s *Sim) lookup(p netaddr.Prefix) int32 {
 // Run iterates route propagation to a fixpoint. It returns the number of
 // propagation rounds executed. Router-RIB selection happens per query.
 //
-// Propagation is incremental: every RIB keeps an append-only log of route
-// insertions and attribute changes, and each edge holds a cursor into its
-// source's log, so a route is pushed across an edge once per change rather
-// than once per round. Edges are visited in the graph's edge order, and a
+// Propagation is incremental: every RIB keeps a log of route insertions
+// and attribute changes, and each edge holds a cursor into its source's
+// log, so a route is pushed across an edge once per change rather than
+// once per round. Edges are visited in the graph's edge order, and a
 // round's flow over an edge takes the source log as it stands when the
 // edge is reached. The order matters: route-maps that match tags make the
 // fixpoint depend on which pathway delivers a prefix first.
@@ -565,45 +584,195 @@ func (s *Sim) lookup(p netaddr.Prefix) int32 {
 // finite set of origins and route-map tags, so the loop stops after at
 // most (flow-target nodes × prefixes × (labels + 1)) + 1 rounds.
 //
-// The logs are only Run's worklists, so Run frees them when it returns:
-// on net5 they outgrow the RIBs themselves.
+// Sharding. The fixpoint factorizes by prefix (see Reuse), so Run splits
+// the prefixes its worklists hold (all of them after New, the ones Reuse
+// left after Reuse) into up to GOMAXPROCS contiguous prefix-ID ranges of
+// equal prefix count, and moves each range on its own goroutine with the
+// same loop. A shard writes only its own prefixes' slots, so no lock is
+// taken. The first shard interns into the Sim's interner and every other
+// into a fork of it; when the shards return, Run folds each fork's new
+// attribute IDs into the Sim's interner in shard order and rewrites that
+// shard's slots. Every shard stops after the rounds its own prefixes
+// need, so the largest shard's count is a whole run's. Run shards only
+// when each shard would own at least minShardSlots flow-target slots: a
+// one-prefix reload or a small network runs inline on the caller's
+// goroutine.
+//
+// The logs are only Run's worklists. Each round every log drops what all
+// of its node's outgoing flows have consumed, a node with no outgoing
+// flow keeps none, and Run frees them when it returns: on net5 they
+// would otherwise outgrow the RIBs themselves.
 func (s *Sim) Run() int {
-	// cursor[i] is how much of its source log flow i has consumed.
-	cursor := make([]int, len(s.flows))
+	moved := s.moved()
+	slots := 0 // flow-target slots of the moved prefixes
+	for i := range s.ribs {
+		if s.ribs[i].slots != nil {
+			slots += len(moved)
+		}
+	}
+	return s.run(moved, min(runtime.GOMAXPROCS(0), slots/minShardSlots))
+}
+
+// minShardSlots is the fewest flow-target slots (moved prefixes ×
+// flow-target RIBs) a shard must own for Run to start it: below that,
+// waking a goroutine costs more than the shard's share of the run.
+const minShardSlots = 1 << 16
+
+// moved returns, in ID order, the prefixes some log holds: those Run
+// must move.
+func (s *Sim) moved() []int32 {
+	logged := make([]bool, len(s.prefixes))
+	for i := range s.ribs {
+		for _, pid := range s.ribs[i].log {
+			logged[pid] = true
+		}
+	}
+	var out []int32
+	for pid, ok := range logged {
+		if ok {
+			out = append(out, int32(pid))
+		}
+	}
+	return out
+}
+
+// run moves the given prefixes to their fixpoint in n shards, inline
+// when n is below 2.
+func (s *Sim) run(moved []int32, n int) int {
+	feeds := make([]bool, len(s.ribs))
+	for _, f := range s.flows {
+		feeds[f.from] = true
+	}
+	n = max(1, min(n, len(moved)))
+	base := attrID(len(s.labels.sets))
+	shards := make([]*shard, n)
+	for k := range shards {
+		labels := s.labels // forked before any shard starts
+		if k > 0 {
+			labels = s.labels.fork()
+		}
+		shards[k] = &shard{
+			s:      s,
+			feeds:  feeds,
+			pids:   moved[k*len(moved)/n : (k+1)*len(moved)/n],
+			labels: labels,
+			logs:   make([][]int32, len(s.ribs)),
+			cursor: make([]int, len(s.flows)),
+			low:    make([]int, len(s.ribs)),
+		}
+	}
+	for i := range s.ribs {
+		rb := &s.ribs[i]
+		switch {
+		case !feeds[i]:
+		case n == 1:
+			shards[0].logs[i] = rb.log
+		default:
+			for _, pid := range rb.log {
+				sh := shards[sort.Search(n-1, func(k int) bool { return pid < shards[k+1].pids[0] })]
+				sh.logs[i] = append(sh.logs[i], pid)
+			}
+		}
+		rb.log = nil
+	}
+	if n == 1 {
+		shards[0].run()
+	} else {
+		work := make([]func(), n)
+		for k, sh := range shards {
+			work[k] = sh.run
+		}
+		fanout.GoAll(work...)
+	}
 	rounds := 0
+	for k, sh := range shards {
+		rounds = max(rounds, sh.rounds)
+		if k > 0 {
+			s.fold(sh, base)
+		}
+		for _, e := range sh.ext {
+			s.ribs[e.node].ext = append(s.ribs[e.node].ext, e.pid)
+		}
+	}
+	return rounds
+}
+
+// shard is one goroutine's share of Run: the prefixes it moves, and
+// the worklists and interner it moves them with.
+type shard struct {
+	s      *Sim
+	feeds  []bool  // by node: some flow leaves it, so it keeps a log
+	pids   []int32 // the prefixes moved, a contiguous ID range's
+	labels *interner
+	logs   [][]int32    // by node
+	cursor []int        // by flow: how much of its source log the flow has consumed
+	low    []int        // by node: trim's scratch
+	ext    []nodePrefix // routes whose origins turned external
+	rounds int
+}
+
+// nodePrefix names a prefix's route in one node's RIB.
+type nodePrefix struct{ node, pid int32 }
+
+// run is Run's loop over the shard's prefixes.
+func (sh *shard) run() {
+	s := sh.s
 	for {
-		rounds++
+		sh.rounds++
 		changed := false
 		for i := range s.flows {
 			f := &s.flows[i]
-			src := &s.ribs[f.from]
-			from := cursor[i]
-			if from == len(src.log) {
+			log := sh.logs[f.from]
+			from := sh.cursor[i]
+			if from == len(log) {
 				continue
 			}
 			// Snapshot the log length: entries appended during this flow
 			// belong to the next round.
-			to := len(src.log)
-			cursor[i] = to
-			if s.flowDelta(f, src.log[from:to]) {
+			to := len(log)
+			sh.cursor[i] = to
+			if sh.flowDelta(f, log[from:to]) {
 				changed = true
 			}
 		}
 		if !changed {
-			for i := range s.ribs {
-				s.ribs[i].log = nil
-			}
-			return rounds
+			return
 		}
+		sh.trim()
+	}
+}
+
+// trim drops from every log the entries all of its node's outgoing flows
+// have consumed.
+func (sh *shard) trim() {
+	low := sh.low
+	for i := range low {
+		low[i] = -1
+	}
+	flows := sh.s.flows
+	for i := range flows {
+		if l := &low[flows[i].from]; *l < 0 || sh.cursor[i] < *l {
+			*l = sh.cursor[i]
+		}
+	}
+	for node, l := range low {
+		if l > 0 {
+			log := sh.logs[node]
+			sh.logs[node] = log[:copy(log, log[l:])]
+		}
+	}
+	for i := range flows {
+		sh.cursor[i] -= low[flows[i].from]
 	}
 }
 
 // flowDelta moves the routes of the given changed prefixes across one
 // edge, applying the edge's policy annotations. It reports whether the
 // destination RIB changed.
-func (s *Sim) flowDelta(f *flow, delta []int32) bool {
+func (sh *shard) flowDelta(f *flow, delta []int32) bool {
+	s := sh.s
 	src, dst := &s.ribs[f.from], &s.ribs[f.to]
-	in := s.labels
+	in := sh.labels
 	changed := false
 	for _, pid := range delta {
 		var a attrID
@@ -633,10 +802,40 @@ func (s *Sim) flowDelta(f *flow, delta []int32) bool {
 		if old == 0 {
 			sl.from = f.from + 1
 		}
-		dst.set(in, pid, old, merged)
+		sl.attr = merged
+		if sh.feeds[f.to] {
+			sh.logs[f.to] = append(sh.logs[f.to], pid)
+		}
+		if in.sets[merged].external && !in.sets[old].external {
+			sh.ext = append(sh.ext, nodePrefix{f.to, pid})
+		}
 		changed = true
 	}
 	return changed
+}
+
+// fold interns the attributes a forked shard added past base into the
+// Sim's interner and rewrites the shard's slots to the Sim's IDs.
+func (s *Sim) fold(sh *shard, base attrID) {
+	added := sh.labels.sets[base:]
+	if len(added) == 0 {
+		return
+	}
+	remap := make([]attrID, len(added))
+	for i, a := range added {
+		remap[i] = s.labels.intern(a.tags, a.origins)
+	}
+	for i := range s.ribs {
+		slots := s.ribs[i].slots
+		if slots == nil {
+			continue
+		}
+		for _, pid := range sh.pids {
+			if a := slots[pid].attr; a >= base {
+				slots[pid].attr = remap[a-base]
+			}
+		}
+	}
 }
 
 // LearnedFrom returns the node from which the given node first learned the

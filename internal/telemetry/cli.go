@@ -67,7 +67,7 @@ func (c *CLI) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&c.MetricsPath, "metrics", "", "write end-of-run metrics to this file ('-' for stdout)")
 	fs.StringVar(&c.MetricsFormat, "metrics-format", "prom", "metrics export format: prom (Prometheus text) or json")
 	fs.StringVar(&c.PprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for the duration of the run")
-	fs.IntVar(&c.Jobs, "j", 0, "parallel workers for parsing and analysis (0 = GOMAXPROCS, 1 = sequential; output is identical either way)")
+	fs.IntVar(&c.Jobs, "j", 0, "parallel workers for parsing and the analysis stages (0 = GOMAXPROCS, 1 = sequential; the route simulator shards by GOMAXPROCS instead; output is identical either way)")
 	fs.BoolVar(&c.FailFast, "fail-fast", false, "abort on the first unreadable or unparseable input file (default: skip it, report it, and continue)")
 	fs.DurationVar(&c.Timeout, "timeout", 0, "overall analysis deadline, e.g. 30s (0 = none); on expiry the run cancels cleanly and reports partial diagnostics")
 }

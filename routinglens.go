@@ -23,7 +23,10 @@
 // by WithParallelism (GOMAXPROCS by default), but the output is
 // deterministic: devices appear in sorted file-name order, diagnostics
 // are sorted by (file, line, severity, message), and the Design — and
-// its Summary() — are byte-identical at every parallelism level.
+// its Summary() — are byte-identical at every parallelism level. The
+// route simulator behind Design.Reachability sizes its prefix shards by
+// GOMAXPROCS, not WithParallelism; its answers are identical too, and
+// GOMAXPROCS=1 runs everything on one core.
 //
 // The heavy lifting lives in the internal packages; this package is the
 // stable public surface, re-exporting the types a consumer needs.
@@ -139,8 +142,9 @@ const (
 // identical to a sequential run.
 func NewAnalyzer(opts ...AnalyzerOption) *Analyzer { return core.NewAnalyzer(opts...) }
 
-// WithParallelism bounds the analyzer's worker pool. n <= 0 means
-// GOMAXPROCS; 1 runs fully sequentially.
+// WithParallelism bounds the analyzer's parse and stage worker pools.
+// n <= 0 means GOMAXPROCS; 1 runs them sequentially. The route
+// simulator shards by GOMAXPROCS whatever n is.
 func WithParallelism(n int) AnalyzerOption { return core.WithParallelism(n) }
 
 // WithLogger routes the analyzer's structured logs to l instead of the
