@@ -28,12 +28,15 @@
 # injected faults against a reference model of one network
 # (fuzzsmoke); benchsmoke runs the instrumented pipeline benches and the
 # simulator benches once so stage-instrumentation overhead and the
-# simulator's time and allocations stay visible in CI output. Two of them
-# run at -cpu 1,2, so every log shows the one-core and the sharded time
-# side by side: BenchmarkSimrouteNet5, net5's cold simulation, whose
-# prefixes Run shards across GOMAXPROCS, and BenchmarkSimrouteNet5Edit,
-# the same after a one-line edit, reusing the unedited generation's
-# fixpoint and moving one prefix inline. benchsmoke also runs the
+# simulator's time and allocations stay visible in CI output. Three of
+# them run at -cpu 1,2, so every log shows the one-core and the pooled
+# or sharded time side by side: BenchmarkSimrouteNet5, net5's cold
+# simulation, whose prefixes Run shards across GOMAXPROCS;
+# BenchmarkSimrouteNet5Edit, the same after a one-line edit, reusing the
+# unedited generation's fixpoint and moving one prefix inline; and
+# BenchmarkAnalyzeDirNet5Edit, the analysis of that reload, which reads
+# and keys all 881 files and parses the edited one on the analyzer's
+# worker pool, then runs the six stages. benchsmoke also runs the
 # in-process query-stack bench (a cached hit and a miss per fleet
 # endpoint) so every CI log prints the hit path's allocations. The
 # operator-facing benchmark is not a make target: `bash perfbench/run.sh`
@@ -87,6 +90,6 @@ fuzzsmoke:
 	go test -run '^$$' -fuzz '^FuzzReloadModel$$' -fuzztime $(FUZZTIME) ./internal/serve
 
 benchsmoke:
-	go test -run '^$$' -bench 'BenchmarkAnalyze|BenchmarkSimrouteNet15' -benchtime=1x .
-	go test -run '^$$' -bench '^BenchmarkSimrouteNet5(Edit)?$$' -benchtime=1x -cpu 1,2 .
+	go test -run '^$$' -bench '^BenchmarkAnalyzeNet5$$|BenchmarkSimrouteNet15' -benchtime=1x .
+	go test -run '^$$' -bench '^(BenchmarkSimrouteNet5(Edit)?|BenchmarkAnalyzeDirNet5Edit)$$' -benchtime=1x -cpu 1,2 .
 	go test -run '^$$' -bench 'BenchmarkQueryStack' -benchtime=1x ./internal/serve

@@ -10,6 +10,9 @@ package routinglens
 
 import (
 	"context"
+	"os"
+	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -254,6 +257,45 @@ func BenchmarkSimrouteNet5Edit(b *testing.B) {
 		an := reach.AnalyzeReduced(model, s, space)
 		an.HasDefaultRoute()
 		an.AdmittedExternalRoutes()
+	}
+}
+
+// BenchmarkAnalyzeDirNet5Edit measures what the analysis costs an rlensd
+// reload of net5 after a one-line edit: AnalyzeDirResult, given the
+// unedited Result, reads and keys all 881 files, parses the edited one
+// and runs the six stages. The read and parse pools are sized by
+// GOMAXPROCS, so -cpu 1,2 prints the one-core and the pooled time.
+func BenchmarkAnalyzeDirNet5Edit(b *testing.B) {
+	g := workspace(b).Corpus.ByName("net5")
+	dir := b.TempDir()
+	hosts := make([]string, 0, len(g.Configs))
+	for host, cfg := range g.Configs {
+		if err := os.WriteFile(filepath.Join(dir, host+".cfg"), []byte(cfg), 0o644); err != nil {
+			b.Fatal(err)
+		}
+		hosts = append(hosts, host)
+	}
+	sort.Strings(hosts)
+	an := core.NewAnalyzer()
+	prev, err := an.AnalyzeDirResult(context.Background(), g.Name, dir, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	edited := hosts[len(hosts)/2]
+	text := g.Configs[edited] + "ip route 198.18.0.1 255.255.255.255 Null0\n"
+	if err := os.WriteFile(filepath.Join(dir, edited+".cfg"), []byte(text), 0o644); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := an.AnalyzeDirResult(context.Background(), g.Name, dir, prev)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.FilesParsed != 1 {
+			b.Fatalf("the edit reload parsed %d files, want 1", res.FilesParsed)
+		}
 	}
 }
 

@@ -32,11 +32,10 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"routinglens/internal/anonymize"
 	"routinglens/internal/ciscoparse"
+	"routinglens/internal/fanout"
 	"routinglens/internal/junosemit"
 	"routinglens/internal/netgen"
 	"routinglens/internal/telemetry"
@@ -149,32 +148,17 @@ func main() {
 		return netResult{wrote: wrote}
 	}
 
-	workers := tele.Parallelism()
-	if workers > len(selected) {
-		workers = len(selected)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(selected) {
-					return
-				}
-				// Cancellation (Ctrl-C, -timeout) stops at the next
-				// network boundary; finished networks stay on disk.
-				if err := ctx.Err(); err != nil {
-					results[i] = netResult{err: err}
-					return
-				}
-				results[i] = writeOne(selected[i])
+	fanout.Each(len(selected), tele.Parallelism(), func(next func() (int, bool)) {
+		for i, ok := next(); ok; i, ok = next() {
+			// Cancellation (Ctrl-C, -timeout) stops at the next
+			// network boundary; finished networks stay on disk.
+			if err := ctx.Err(); err != nil {
+				results[i] = netResult{err: err}
+				return
 			}
-		}()
-	}
-	wg.Wait()
+			results[i] = writeOne(selected[i])
+		}
+	})
 
 	wrote, skippedNets := 0, 0
 	for i, r := range results {

@@ -116,8 +116,9 @@
 // /debug/traces store: reload and control-plane stages feed only the
 // routinglens_stage_seconds histograms on /metrics, so its -v stage
 // table reads "no stages recorded". -timeout bounds each analysis
-// attempt, not the daemon's lifetime. -j sizes the parse and
-// analysis-stage pools; a reload's simulation shards its prefixes by
+// attempt, not the daemon's lifetime. -j sizes the pool that reads,
+// hashes and parses a network's configuration files and the
+// analysis-stage pool; a reload's simulation shards its prefixes by
 // GOMAXPROCS instead, so GOMAXPROCS=1 runs everything on one core.
 // Answers are identical either way.
 package main

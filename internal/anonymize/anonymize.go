@@ -33,9 +33,9 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"routinglens/internal/confio"
+	"routinglens/internal/fanout"
 	"routinglens/internal/netaddr"
 )
 
@@ -476,29 +476,9 @@ func (a *Anonymizer) AnonymizeDirContext(ctx context.Context, in, out string, wo
 // forEach runs n index-addressed work items over a pool of workers; each
 // item writes only its own index, so results stay in input order.
 func forEach(workers, n int, work func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
+	fanout.Each(n, workers, func(next func() (int, bool)) {
+		for i, ok := next(); ok; i, ok = next() {
 			work(i)
 		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				work(i)
-			}
-		}()
-	}
-	wg.Wait()
+	})
 }

@@ -106,7 +106,9 @@ func (s *Scanner) Err() error { return s.err }
 // byte-strings that normalize equal must hash equal no matter how
 // corrupted the rest of the file is.
 func Normalize(s string) string {
-	if !strings.ContainsAny(s, "\r\t\x00") {
+	// Three IndexByte scans, each vectorized, beat one ContainsAny, which
+	// tests every byte against the set: a reload keys every file's text.
+	if strings.IndexByte(s, '\r') < 0 && strings.IndexByte(s, '\t') < 0 && strings.IndexByte(s, 0) < 0 {
 		return s
 	}
 	var b strings.Builder

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -77,9 +76,9 @@ type Analyzer struct {
 // AnalyzerOption configures an Analyzer.
 type AnalyzerOption func(*Analyzer)
 
-// WithParallelism bounds the worker pool used for per-file parsing and
-// independent analysis stages. n <= 0 means runtime.GOMAXPROCS(0);
-// n == 1 runs fully sequentially.
+// WithParallelism bounds the worker pool used for per-file reading,
+// hashing and parsing and for the independent analysis stages. n <= 0
+// means runtime.GOMAXPROCS(0); n == 1 runs fully sequentially.
 func WithParallelism(n int) AnalyzerOption {
 	return func(a *Analyzer) { a.parallelism = n }
 }
@@ -226,24 +225,23 @@ func (a *Analyzer) parseFile(name, text string) (*devmodel.Device, []Diagnostic,
 	return res.Device, fromCisco(res.Diagnostics), DialectIOS, nil
 }
 
-// readDir reads every regular file in dir as one parse input.
-func (a *Analyzer) readDir(dir string) ([]fileInput, error) {
+// readDir lists dir's regular files, in name order, and reads and keys
+// them with readHash.
+func (a *Analyzer) readDir(ctx context.Context, dir string) ([]fileInput, string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	inputs := make([]fileInput, 0, len(entries))
+	names := make([]string, 0, len(entries))
 	for _, e := range entries {
-		if !e.Type().IsRegular() {
-			continue
+		if e.Type().IsRegular() {
+			names = append(names, e.Name())
 		}
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			return nil, err
-		}
-		inputs = append(inputs, a.newInput(e.Name(), string(data)))
 	}
-	return inputs, nil
+	return a.readHash(ctx, names, func(name string) (string, error) {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		return string(data), err
+	})
 }
 
 // fileInput is one configuration handed to the parse stage: its name,
@@ -254,10 +252,44 @@ type fileInput struct {
 	key  parsecache.Key
 }
 
-// newInput builds one parse-stage input, computing its file key: what a
-// Result's parse table and the input key are keyed on.
-func (a *Analyzer) newInput(name, text string) fileInput {
-	return fileInput{name: name, text: text, key: parsecache.KeyFor(a.resolveDialect(text), name, text)}
+// readHash is the read_hash layer, timed by a span of that name. On the
+// worker pool it builds one parse input per name, which must be sorted:
+// its text, supplied by text, and its file key, what a Result's parse
+// table is keyed on. Each worker fills the slots of the names it takes,
+// so the inputs come back in name order at any parallelism. It returns
+// them with their input key, or the error of the first name, in name
+// order, whose text could not be supplied, as a sequential loop would.
+func (a *Analyzer) readHash(ctx context.Context, names []string, text func(name string) (string, error)) ([]fileInput, string, error) {
+	_, span := telemetry.StartSpan(ctx, "read_hash")
+	defer span.End()
+	inputs := make([]fileInput, len(names))
+	errs := make([]error, len(names))
+	fanout.Each(len(names), a.workers(len(names)), func(next func() (int, bool)) {
+		for i, ok := next(); ok; i, ok = next() {
+			s, err := text(names[i])
+			if err != nil {
+				errs[i] = err
+				continue
+			}
+			inputs[i] = fileInput{name: names[i], text: s, key: parsecache.KeyFor(a.resolveDialect(s), names[i], s)}
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			span.Fail(err)
+			return nil, "", err
+		}
+	}
+	return inputs, snapshot.Key(AnalysisVersion, fileSigs(inputs)), nil
+}
+
+// workers sizes the worker pool for n files: Parallelism, capped at n.
+func (a *Analyzer) workers(n int) int {
+	w := a.Parallelism()
+	if n > 0 && w > n {
+		return n
+	}
+	return w
 }
 
 // fileSigs lists the inputs' snapshot signatures, which Result.InputKey
@@ -291,16 +323,15 @@ type cacheEntry struct {
 }
 
 // analyzeInputs is the shared parse+analyze engine under AnalyzeDirResult
-// and AnalyzeConfigsResult. It sorts inputs by name in place, fans the
-// parses out over the worker pool, and merges deterministically. A file
-// whose key is in prev's parse table is taken from there instead of
-// parsed. On a parse error (cancellation, or fail-fast) the Result holds
-// only the diagnostics of the files that parsed.
+// and AnalyzeConfigsResult. It fans the parses of inputs, which come in
+// name order from readHash, out over the worker pool and merges them in
+// that order. A file whose key is in prev's parse table is taken from
+// there instead of parsed. On a parse error (cancellation, or fail-fast)
+// the Result holds only the diagnostics of the files that parsed.
 func (a *Analyzer) analyzeInputs(ctx context.Context, name string, inputs []fileInput, prev *Result) (*Result, error) {
 	if err := a.checkDialect(); err != nil {
 		return nil, err
 	}
-	sort.Slice(inputs, func(i, j int) bool { return inputs[i].name < inputs[j].name })
 	var reuse map[parsecache.Key]cacheEntry
 	if prev != nil {
 		reuse = prev.parses
@@ -309,54 +340,33 @@ func (a *Analyzer) analyzeInputs(ctx context.Context, name string, inputs []file
 	reg := telemetry.RegistryFrom(ctx)
 	registerHelp(reg)
 	log := a.log().With("network", name)
-	workers := a.Parallelism()
-	if workers > len(inputs) && len(inputs) > 0 {
-		workers = len(inputs)
-	}
+	workers := a.workers(len(inputs))
 	reg.Gauge(MetricParallelism).Set(float64(workers))
 
 	pctx, parseSpan := telemetry.StartSpan(ctx, "parse")
 	results := make([]parsed, len(inputs))
-	if workers <= 1 {
-		for i := range inputs {
+	// A worker checks failed before it takes an index, so every index it
+	// takes is parsed: under fail-fast, all files before the first failing
+	// one by name are parsed, and the merge reports that one at any -j.
+	var failed atomic.Bool
+	fanout.Each(len(inputs), workers, func(next func() (int, bool)) {
+		wctx, wspan := telemetry.StartSpan(pctx, "parse-worker")
+		defer wspan.End()
+		for !failed.Load() {
+			i, ok := next()
+			if !ok {
+				return
+			}
 			if err := ctx.Err(); err != nil {
-				parseSpan.Fail(err)
-				parseSpan.End()
-				return &Result{Diagnostics: partialDiags(results)}, err
+				wspan.Fail(err)
+				return
 			}
-			results[i] = a.parseInput(pctx, inputs[i], reuse)
+			results[i] = a.parseInput(wctx, inputs[i], reuse)
 			if results[i].err != nil && a.failFast {
-				break
+				failed.Store(true)
 			}
 		}
-	} else {
-		var next atomic.Int64
-		var failed atomic.Bool
-		worker := func() {
-			wctx, wspan := telemetry.StartSpan(pctx, "parse-worker")
-			defer wspan.End()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(inputs) || failed.Load() {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					wspan.Fail(err)
-					return
-				}
-				results[i] = a.parseInput(wctx, inputs[i], reuse)
-				if results[i].err != nil && a.failFast {
-					failed.Store(true)
-					return
-				}
-			}
-		}
-		pool := make([]func(), workers)
-		for w := range pool {
-			pool[w] = worker
-		}
-		fanout.GoAll(pool...)
-	}
+	})
 	if err := ctx.Err(); err != nil {
 		parseSpan.Fail(err)
 		parseSpan.End()
@@ -367,7 +377,7 @@ func (a *Analyzer) analyzeInputs(ctx context.Context, name string, inputs []file
 	n := &devmodel.Network{Name: name}
 	parses := make(map[parsecache.Key]cacheEntry, len(inputs))
 	var diags []Diagnostic
-	var totalLines int64
+	var parsedLines int64
 	var cacheHits, reparsed int
 	for _, r := range results {
 		switch {
@@ -409,18 +419,20 @@ func (a *Analyzer) analyzeInputs(ctx context.Context, name string, inputs []file
 			})
 			continue
 		}
-		if r.dev == nil { // fail-fast sequential path stopped early
+		if r.dev == nil { // not taken: a fail-fast run stopped before it
 			continue
 		}
-		reg.Counter(MetricDevicesParsed, telemetry.L("dialect", r.dialect)).Inc()
-		reg.Counter(MetricConfigLines).Add(int64(r.dev.RawLines))
-		totalLines += int64(r.dev.RawLines)
-		for _, d := range r.diags {
-			reg.Counter(MetricDiagnostics, telemetry.L("severity", d.Severity.String())).Inc()
+		if !r.cached {
+			reg.Counter(MetricDevicesParsed, telemetry.L("dialect", r.dialect)).Inc()
+			reg.Counter(MetricConfigLines).Add(int64(r.dev.RawLines))
+			parsedLines += int64(r.dev.RawLines)
+			for _, d := range r.diags {
+				reg.Counter(MetricDiagnostics, telemetry.L("severity", d.Severity.String())).Inc()
+			}
+			log.Debug("parsed configuration",
+				"file", inputs[i].name, "dialect", r.dialect, "lines", r.dev.RawLines,
+				"diagnostics", len(r.diags), "duration", r.dur)
 		}
-		log.Debug("parsed configuration",
-			"file", inputs[i].name, "dialect", r.dialect, "lines", r.dev.RawLines,
-			"diagnostics", len(r.diags), "duration", r.dur)
 		n.Devices = append(n.Devices, r.dev)
 		parses[inputs[i].key] = r.cacheEntry
 		diags = append(diags, r.diags...)
@@ -428,10 +440,10 @@ func (a *Analyzer) analyzeInputs(ctx context.Context, name string, inputs []file
 	sortDiagnostics(diags)
 	parseDur := parseSpan.End()
 	if secs := parseDur.Seconds(); secs > 0 {
-		reg.Gauge(MetricParseLinesRate).Set(float64(totalLines) / secs)
+		reg.Gauge(MetricParseLinesRate).Set(float64(parsedLines) / secs)
 	}
 	log.Info("parsed network",
-		"files", len(inputs), "lines", totalLines, "workers", workers,
+		"files", len(inputs), "lines", parsedLines, "workers", workers,
 		"cache_hits", cacheHits, "reparsed", reparsed,
 		"diagnostics", len(diags), "duration", parseDur.Round(time.Microsecond))
 	return &Result{Design: a.Analyze(ctx, n), Diagnostics: diags, Skipped: SkippedFiles(diags), FilesParsed: reparsed, parses: parses}, nil

@@ -92,10 +92,13 @@ func TestAnalyzeDirMalformedCorpus(t *testing.T) {
 // contract at every worker count: the skip list is identical and sorted,
 // the per-file diagnostics keep their severity/dialect, and the
 // routinglens_files_skipped_total counter lands on exactly the corpus's
-// bad-file count whether the parse pool runs sequentially, with a small
-// fixed fan-out, or at GOMAXPROCS.
+// bad-file count whether the read and parse pools run sequentially,
+// with a small fixed fan-out, or at GOMAXPROCS. The pooled read pass
+// keys the corpus's CRLF/tab file like every other, so every worker
+// count yields one input key and one parse count.
 func TestSkippedFilesDeterministicAcrossParallelism(t *testing.T) {
 	jobs := []int{1, 4, runtime.GOMAXPROCS(0)}
+	inputKeys, filesParsed := map[string][]int{}, map[int][]int{}
 	for _, j := range jobs {
 		t.Run(fmt.Sprintf("j%d", j), func(t *testing.T) {
 			reg := telemetry.NewRegistry()
@@ -120,6 +123,14 @@ func TestSkippedFilesDeterministicAcrossParallelism(t *testing.T) {
 			if len(res.Design.Network.Devices) != 3 {
 				t.Errorf("j=%d: devices = %d, want 3", j, len(res.Design.Network.Devices))
 			}
+			inputKeys[res.InputKey] = append(inputKeys[res.InputKey], j)
+			filesParsed[res.FilesParsed] = append(filesParsed[res.FilesParsed], j)
 		})
+	}
+	if len(inputKeys) != 1 {
+		t.Errorf("input keys by -j differ: %v", inputKeys)
+	}
+	if len(filesParsed) != 1 {
+		t.Errorf("FilesParsed by -j differs: %v", filesParsed)
 	}
 }

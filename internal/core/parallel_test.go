@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"sort"
@@ -294,6 +296,81 @@ func TestAnalyzeStageParallelRace(t *testing.T) {
 		}
 		if d.Topology == nil || d.Instances == nil || d.AddressSpace == nil || d.Filters == nil {
 			t.Fatal("incomplete design from parallel stages")
+		}
+	}
+}
+
+// TestReadHashFirstErrorByName: the pooled read pass reports the error
+// of the first unreadable file by name, as a sequential loop would,
+// whichever worker hit which failure first; and at every -j it returns
+// the same inputs in name order under the same input key.
+func TestReadHashFirstErrorByName(t *testing.T) {
+	var names []string
+	for c := 'a'; c <= 'z'; c++ {
+		names = append(names, string(c)+".cfg")
+	}
+	text := func(bad ...string) func(string) (string, error) {
+		return func(name string) (string, error) {
+			for _, b := range bad {
+				if name == b {
+					return "", fmt.Errorf("cannot read %s", name)
+				}
+			}
+			return "hostname " + strings.TrimSuffix(name, ".cfg") + "\n", nil
+		}
+	}
+	var keys []string
+	for _, j := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+		an := NewAnalyzer(WithParallelism(j))
+		_, _, err := an.readHash(context.Background(), names, text("t.cfg", "m.cfg", "x.cfg"))
+		if err == nil || err.Error() != "cannot read m.cfg" {
+			t.Errorf("j=%d: err = %v, want m.cfg's", j, err)
+		}
+		inputs, key, err := an.readHash(context.Background(), names, text())
+		if err != nil {
+			t.Fatalf("j=%d: %v", j, err)
+		}
+		for i, in := range inputs {
+			if in.name != names[i] || in.key.Name != names[i] {
+				t.Errorf("j=%d: slot %d holds %q, want %q", j, i, in.name, names[i])
+			}
+		}
+		keys = append(keys, key)
+	}
+	for _, k := range keys[1:] {
+		if k != keys[0] {
+			t.Errorf("input keys differ by -j: %v", keys)
+		}
+	}
+}
+
+// TestReadDirSkipsNonRegularEntries: the pooled read pass takes only a
+// directory's regular files, as the sequential loop did, so a
+// subdirectory and a symlink change neither the devices nor the input
+// key at any -j.
+func TestReadDirSkipsNonRegularEntries(t *testing.T) {
+	configs := mixedConfigs(t)
+	plain := writeConfigDir(t, configs)
+	cluttered := writeConfigDir(t, configs)
+	if err := os.Mkdir(filepath.Join(cluttered, "b-subdir.cfg"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Symlink(filepath.Join(plain, "jmix.cfg"), filepath.Join(cluttered, "c-link.cfg")); err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range []int{1, 4} {
+		an := NewAnalyzer(WithParallelism(j))
+		want, err := an.AnalyzeDirResult(context.Background(), "mixed", plain, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := an.AnalyzeDirResult(context.Background(), "mixed", cluttered, nil)
+		if err != nil {
+			t.Fatalf("j=%d: %v", j, err)
+		}
+		if got.InputKey != want.InputKey || len(got.Design.Network.Devices) != len(configs) {
+			t.Errorf("j=%d: %d devices under key %.12s, want %d under %.12s",
+				j, len(got.Design.Network.Devices), got.InputKey, len(configs), want.InputKey)
 		}
 	}
 }

@@ -3,10 +3,10 @@ package core
 import (
 	"context"
 	"path/filepath"
+	"sort"
 	"time"
 
 	"routinglens/internal/parsecache"
-	"routinglens/internal/snapshot"
 	"routinglens/internal/telemetry"
 )
 
@@ -61,11 +61,10 @@ type Result struct {
 // table are parsed. The snapshot is read only when prev is nil.
 func (a *Analyzer) AnalyzeDirResult(ctx context.Context, name, dir string, prev *Result) (*Result, error) {
 	start := time.Now()
-	inputs, err := a.readDir(dir)
+	inputs, key, err := a.readDir(ctx, dir)
 	if err != nil {
 		return nil, err
 	}
-	key := snapshot.Key(AnalysisVersion, fileSigs(inputs))
 	if prev != nil && prev.InputKey == key && prev.Design.Network.Name == name {
 		telemetry.RegistryFrom(ctx).Gauge(MetricFilesReparsed).Set(0)
 		return prev, nil
@@ -91,15 +90,20 @@ func (a *Analyzer) AnalyzeDirResult(ctx context.Context, name, dir string, prev 
 // Result.
 func (a *Analyzer) AnalyzeConfigsResult(ctx context.Context, name string, configs map[string]string) (*Result, error) {
 	start := time.Now()
-	inputs := make([]fileInput, 0, len(configs))
-	for fn, text := range configs {
-		inputs = append(inputs, a.newInput(fn, text))
+	names := make([]string, 0, len(configs))
+	for fn := range configs {
+		names = append(names, fn)
+	}
+	sort.Strings(names)
+	inputs, key, err := a.readHash(ctx, names, func(fn string) (string, error) { return configs[fn], nil })
+	if err != nil {
+		return nil, err
 	}
 	res, err := a.analyzeInputs(ctx, name, inputs, nil)
 	if err != nil {
 		return res, err
 	}
-	res.InputKey = snapshot.Key(AnalysisVersion, fileSigs(inputs))
+	res.InputKey = key
 	res.Elapsed = time.Since(start)
 	return res, nil
 }
@@ -109,17 +113,19 @@ func (a *Analyzer) AnalyzeConfigsResult(ctx context.Context, name string, config
 // the directory's base name. The returned diagnostics are warnings about
 // individual malformed lines; they do not prevent analysis.
 //
-// Every file is read and content-hashed on every call. With a snapshot
-// directory attached (WithSnapshotDir), an input key that matches the
-// network's snapshot skips the parse and restores the design from it.
+// Every file is read and content-hashed on every call, on the analyzer's
+// worker pool, under a "read_hash" span. With a snapshot directory
+// attached (WithSnapshotDir), an input key that matches the network's
+// snapshot skips the parse and restores the design from it.
 func (a *Analyzer) AnalyzeDir(ctx context.Context, dir string) (*Design, []Diagnostic, error) {
 	return unpack(a.AnalyzeDirResult(ctx, filepath.Base(filepath.Clean(dir)), dir, nil))
 }
 
 // AnalyzeConfigs parses an in-memory set of configurations (hostname or
 // file name -> text) and analyzes the network. Files are distributed
-// over the analyzer's worker pool; a "parse" span wraps the stage with
-// one "parse-worker" child per worker and one "parse-file" child per
+// over the analyzer's worker pool, which first keys them under a
+// "read_hash" span; a "parse" span then wraps the stage with one
+// "parse-worker" child per worker and one "parse-file" child per
 // configuration. Cancelling ctx stops the workers: no new file is picked
 // up and the call returns ctx's error alongside the (sorted) diagnostics
 // of the files that had already parsed, so interrupted runs can still

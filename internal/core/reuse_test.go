@@ -8,14 +8,16 @@ import (
 	"sort"
 	"testing"
 
+	"routinglens/internal/devmodel"
 	"routinglens/internal/netgen"
 	"routinglens/internal/telemetry"
 )
 
 // TestUnchangedInputReturnsPrev: given the previous Result, an unchanged
 // directory answers with that Result itself before any snapshot read,
-// parse or stage, with or without a snapshot directory. Under another
-// network name the same files are analyzed anew.
+// parse or stage, with or without a snapshot directory: the read_hash
+// span that keyed the files is its only span. Under another network name
+// the same files are analyzed anew.
 func TestUnchangedInputReturnsPrev(t *testing.T) {
 	dir := writeNamedConfigDir(t, "netsame", mixedConfigs(t))
 	for _, snapDir := range []string{"", t.TempDir()} {
@@ -33,8 +35,12 @@ func TestUnchangedInputReturnsPrev(t *testing.T) {
 		if res != prev {
 			t.Errorf("snapshot dir %q: an unchanged reload did not return the previous Result", snapDir)
 		}
-		if recs := col.Records(); len(recs) != 0 {
-			t.Errorf("snapshot dir %q: an unchanged reload recorded %d spans, want none (first %q)", snapDir, len(recs), recs[0].Name)
+		var spans []string
+		for _, r := range col.Records() {
+			spans = append(spans, r.Name)
+		}
+		if !reflect.DeepEqual(spans, []string{"read_hash"}) {
+			t.Errorf("snapshot dir %q: an unchanged reload recorded spans %v, want only read_hash", snapDir, spans)
 		}
 		for _, m := range []string{MetricSnapshotLoads, MetricSnapshotMisses, MetricSnapshotInvalid, MetricSnapshotWrites} {
 			if got := netCounter(reg, m, "netsame"); got != 0 {
@@ -60,7 +66,9 @@ func TestUnchangedInputReturnsPrev(t *testing.T) {
 // the file an edit changed. That holds on net5 and on a provider network
 // larger than rlensd's old 4,096-entry parse cache, and the design,
 // devices and diagnostics equal a fresh analysis's. Each Result counts
-// its own parses: every file cold (881 on net5), 1 after the edit.
+// its own parses: every file cold (881 on net5), 1 after the edit. The
+// parse counters count parses too, not the devices taken from the
+// previous Result: the edit adds one device and its lines.
 func TestPrevResultParsesOnlyEditedFile(t *testing.T) {
 	for _, g := range []*netgen.Generated{netgen.GenerateCorpus(2004).ByName("net5"), netgen.GenerateProvider(2004, 4500)} {
 		t.Run(g.Name, func(t *testing.T) {
@@ -94,6 +102,24 @@ func TestPrevResultParsesOnlyEditedFile(t *testing.T) {
 			}
 			if got := reg.Counter(MetricCacheHits).Value(); got != int64(len(hosts)-1) {
 				t.Errorf("a one-file edit took %d parses from the previous Result, want %d", got, len(hosts)-1)
+			}
+			devices := func(dialect string) int64 {
+				return reg.Counter(MetricDevicesParsed, telemetry.L("dialect", dialect)).Value()
+			}
+			if got := devices(DialectIOS) + devices(DialectJunOS); got != 1 {
+				t.Errorf("%s = %d after a one-file edit, want 1", MetricDevicesParsed, got)
+			}
+			var editedDev *devmodel.Device
+			for _, d := range res.Design.Network.Devices {
+				if d.FileName == edited+".cfg" {
+					editedDev = d
+				}
+			}
+			if editedDev == nil {
+				t.Fatalf("no device from %s.cfg", edited)
+			}
+			if got := reg.Counter(MetricConfigLines).Value(); got != int64(editedDev.RawLines) {
+				t.Errorf("%s = %d after a one-file edit, want the edited file's %d", MetricConfigLines, got, editedDev.RawLines)
 			}
 			fresh, err := NewAnalyzer().AnalyzeDirResult(context.Background(), g.Name, dir, nil)
 			if err != nil {

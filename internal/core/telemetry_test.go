@@ -43,7 +43,7 @@ func TestAnalyzeDirEmitsTelemetry(t *testing.T) {
 		}
 	}
 	for _, stage := range []string{
-		"parse", "analyze", "topology", "procgraph", "instance",
+		"read_hash", "parse", "analyze", "topology", "procgraph", "instance",
 		"addrspace", "filters", "classify",
 	} {
 		if counts[stage] != 1 {
@@ -63,7 +63,7 @@ func TestAnalyzeDirEmitsTelemetry(t *testing.T) {
 	if reg.Gauge(MetricInstances, telemetry.L("network", filepath.Base(dir))).Value() == 0 {
 		t.Error("instances gauge not set")
 	}
-	for _, stage := range []string{"topology", "procgraph", "instance", "addrspace", "filters", "classify"} {
+	for _, stage := range []string{"read_hash", "topology", "procgraph", "instance", "addrspace", "filters", "classify"} {
 		h := reg.Histogram(telemetry.StageSecondsMetric, nil, telemetry.L("stage", stage))
 		if h.Count() != 1 {
 			t.Errorf("stage %q latency observations = %d, want 1", stage, h.Count())

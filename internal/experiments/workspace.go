@@ -11,11 +11,10 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"routinglens/internal/classify"
 	"routinglens/internal/devmodel"
+	"routinglens/internal/fanout"
 	"routinglens/internal/filters"
 	"routinglens/internal/instance"
 	"routinglens/internal/netgen"
@@ -163,34 +162,11 @@ func runPool(ctx context.Context, parallelism, n int, work func(i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				return
-			}
+	fanout.Each(n, workers, func(next func() (int, bool)) {
+		for i, ok := next(); ok && ctx.Err() == nil; i, ok = next() {
 			work(i)
 		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || ctx.Err() != nil {
-					return
-				}
-				work(i)
-			}
-		}()
-	}
-	wg.Wait()
+	})
 }
 
 // firstError returns ctx's error if it was cancelled, else the

@@ -21,7 +21,9 @@ import (
 //	-metrics FILE       write end-of-run metrics to FILE ("-" = stdout)
 //	-metrics-format F   prom (Prometheus text, default) or json
 //	-pprof ADDR         serve net/http/pprof on ADDR for the run
-//	-j N                parallel workers (0 = GOMAXPROCS); output is
+//	-j N                parallel workers for reading, hashing and
+//	                    parsing the configs and for the analysis
+//	                    stages (0 = GOMAXPROCS); output is
 //	                    deterministic whatever N
 //	-fail-fast          abort on the first unreadable or unparseable
 //	                    input file instead of skipping it
@@ -67,7 +69,7 @@ func (c *CLI) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&c.MetricsPath, "metrics", "", "write end-of-run metrics to this file ('-' for stdout)")
 	fs.StringVar(&c.MetricsFormat, "metrics-format", "prom", "metrics export format: prom (Prometheus text) or json")
 	fs.StringVar(&c.PprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for the duration of the run")
-	fs.IntVar(&c.Jobs, "j", 0, "parallel workers for parsing and the analysis stages (0 = GOMAXPROCS, 1 = sequential; the route simulator shards by GOMAXPROCS instead; output is identical either way)")
+	fs.IntVar(&c.Jobs, "j", 0, "parallel workers for reading, hashing and parsing the configs and for the analysis stages (0 = GOMAXPROCS, 1 = sequential; the route simulator shards by GOMAXPROCS instead; output is identical either way)")
 	fs.BoolVar(&c.FailFast, "fail-fast", false, "abort on the first unreadable or unparseable input file (default: skip it, report it, and continue)")
 	fs.DurationVar(&c.Timeout, "timeout", 0, "overall analysis deadline, e.g. 30s (0 = none); on expiry the run cancels cleanly and reports partial diagnostics")
 }

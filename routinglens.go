@@ -19,8 +19,9 @@
 //	pw, _ := design.Pathway("edge-router-7")
 //	fmt.Println(pw)
 //
-// Configuration files are parsed concurrently on a worker pool bounded
-// by WithParallelism (GOMAXPROCS by default), but the output is
+// Configuration files are read, hashed and parsed concurrently on a
+// worker pool bounded by WithParallelism (GOMAXPROCS by default), but the
+// output is
 // deterministic: devices appear in sorted file-name order, diagnostics
 // are sorted by (file, line, severity, message), and the Design — and
 // its Summary() — are byte-identical at every parallelism level. The
@@ -128,7 +129,8 @@ const (
 )
 
 // NewAnalyzer builds an Analyzer from functional options. The zero
-// configuration parses on GOMAXPROCS workers, logs through the process
+// configuration reads, hashes and parses the configuration files on
+// GOMAXPROCS workers, logs through the process
 // default logger, and sniffs each file's dialect:
 //
 //	an := routinglens.NewAnalyzer(
@@ -142,7 +144,8 @@ const (
 // identical to a sequential run.
 func NewAnalyzer(opts ...AnalyzerOption) *Analyzer { return core.NewAnalyzer(opts...) }
 
-// WithParallelism bounds the analyzer's parse and stage worker pools.
+// WithParallelism bounds the analyzer's worker pools: the one that reads,
+// hashes and parses the configuration files, and the analysis stages'.
 // n <= 0 means GOMAXPROCS; 1 runs them sequentially. The route
 // simulator shards by GOMAXPROCS whatever n is.
 func WithParallelism(n int) AnalyzerOption { return core.WithParallelism(n) }
